@@ -80,7 +80,7 @@ fn run_identical(scenario: &FleetScenario, label: &str) -> FleetReport {
         assert_eq!(
             report, oracle,
             "{label}: shards={shards} threads={threads} must reproduce the \
-             shards=1 oracle bit-for-bit"
+             same plan run on one worker bit-for-bit"
         );
     }
     oracle

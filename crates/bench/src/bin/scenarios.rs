@@ -15,7 +15,7 @@
 //! canonical committed scenario files under `scenarios/`.
 //!
 //! Every report is produced by the **sharded engine** and asserted
-//! bit-identical against its `shards = 1` oracle (run twice) — the
+//! bit-identical against the same plan run on one worker (twice) — the
 //! two-layer determinism contract CI relies on: same seed ⇒ same
 //! report, at any shard count. The emitted artifacts deliberately
 //! carry **no wall-clock measurements**, so two runs of the same
@@ -182,7 +182,7 @@ fn run_checked(scenario: &FleetScenario, shards: usize, label: &str) -> FleetRep
     let oracle = scenario.simulate_sharded(1, 1).expect("scenario is valid");
     assert_eq!(
         report, oracle,
-        "{label}: shards={shards} must reproduce the shards=1 oracle bit-for-bit"
+        "{label}: shards={shards} must reproduce the same plan run on one worker bit-for-bit"
     );
     report
 }

@@ -12,10 +12,8 @@
 //! | `fig6`   | Figure 6 — execution times vs. Eyeriss and YodaNN |
 //! | `sweep`  | design-space sweep (beyond the paper) |
 //!
-//! The Criterion benches (`cargo bench`) time the *models themselves*
-//! (reference conv, photonic MAC, mapping, analytical framework, pipeline
-//! simulator) and re-emit the fig5/fig6 data as benchmark-attached output so
-//! a CI run regenerates every number in EXPERIMENTS.md.
+//! Host-time measurement lives in the repository benchmark
+//! (`perfbench/`, declared by `BENCHMARK.json`), not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

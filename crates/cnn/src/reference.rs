@@ -4,8 +4,7 @@
 //! PCNNA accelerates or that surrounds it in a network. The photonic
 //! functional simulator in `pcnna-core` is validated against
 //! [`conv2d_direct`]; [`conv2d_im2col`] is an independent second
-//! implementation used to cross-check the first (and as the electronic
-//! baseline's compute kernel in the benches).
+//! implementation used to cross-check the first.
 
 use crate::geometry::ConvGeometry;
 use crate::tensor::Tensor;
@@ -93,21 +92,6 @@ pub fn conv2d_direct(g: &ConvGeometry, input: &Tensor, kernels: &Tensor) -> Resu
 ///
 /// Returns [`CnnError::ShapeMismatch`] if `input` does not match `g`.
 pub fn im2col(g: &ConvGeometry, input: &Tensor) -> Result<Tensor> {
-    let mut buf = Vec::new();
-    im2col_into(g, input, &mut buf)?;
-    let o = g.output_side();
-    let rows = g.n_kernel() as usize;
-    Tensor::from_vec(&[rows, o * o], buf)
-}
-
-/// Lowers the input into a caller-provided im2col buffer (same layout as
-/// [`im2col`]): `out` is resized to `(nc·m·m) · (o·o)` and filled. A warm
-/// buffer makes repeated lowering allocation-free.
-///
-/// # Errors
-///
-/// Returns [`CnnError::ShapeMismatch`] if `input` does not match `g`.
-pub fn im2col_into(g: &ConvGeometry, input: &Tensor, out: &mut Vec<f32>) -> Result<()> {
     let want_in = g.input_shape();
     if input.shape() != want_in {
         return Err(CnnError::ShapeMismatch {
@@ -125,8 +109,7 @@ pub fn im2col_into(g: &ConvGeometry, input: &Tensor, out: &mut Vec<f32>) -> Resu
     );
     let rows = nc * m * m;
     let cols = o * o;
-    out.clear();
-    out.resize(rows * cols, 0.0);
+    let mut out = vec![0.0f32; rows * cols];
     for c in 0..nc {
         for ky in 0..m {
             for kx in 0..m {
@@ -142,32 +125,7 @@ pub fn im2col_into(g: &ConvGeometry, input: &Tensor, out: &mut Vec<f32>) -> Resu
             }
         }
     }
-    Ok(())
-}
-
-/// Reusable scratch buffers for [`conv2d_im2col_scratch`]: the im2col
-/// matrix and the output accumulator. Capacity survives across calls, so
-/// a warm scratch makes the whole convolution allocation-free — the form
-/// the electronic-baseline benches run in steady state.
-#[derive(Debug, Clone, Default)]
-pub struct ConvScratch {
-    im2col: Vec<f32>,
-    out: Vec<f32>,
-}
-
-impl ConvScratch {
-    /// Empty scratch (buffers grow on first use, then stay warm).
-    #[must_use]
-    pub fn new() -> Self {
-        ConvScratch::default()
-    }
-
-    /// The output of the last [`conv2d_im2col_scratch`] call, row-major
-    /// `(k, o, o)`.
-    #[must_use]
-    pub fn output(&self) -> &[f32] {
-        &self.out
-    }
+    Tensor::from_vec(&[rows, cols], out)
 }
 
 /// How many columns of the im2col matrix one GEMM tile spans: small
@@ -245,48 +203,24 @@ fn gemm_blocked(a: &[f32], b: &[f32], out: &mut [f32], k: usize, rows: usize, co
     }
 }
 
-/// [`conv2d_im2col`] with caller-provided scratch: the im2col matrix and
-/// the output live in `scratch` (read the result via
-/// [`ConvScratch::output`]), so a warm scratch makes repeated
-/// convolutions completely allocation-free. The multiply is the
-/// cache-blocked `gemm_blocked` kernel.
-///
-/// # Errors
-///
-/// Returns [`CnnError::ShapeMismatch`] if the tensors do not match `g`.
-pub fn conv2d_im2col_scratch(
-    g: &ConvGeometry,
-    input: &Tensor,
-    kernels: &Tensor,
-    scratch: &mut ConvScratch,
-) -> Result<()> {
-    check_conv_shapes(g, input, kernels)?;
-    let o = g.output_side();
-    let k = g.kernels();
-    let rows = g.n_kernel() as usize; // nc*m*m
-    let cols = o * o;
-    let ConvScratch { im2col, out } = scratch;
-    im2col_into(g, input, im2col)?;
-    out.clear();
-    out.resize(k * cols, 0.0);
-    gemm_blocked(kernels.as_slice(), im2col, out, k, rows, cols);
-    Ok(())
-}
-
 /// im2col-based convolution: lowers the input, flattens the kernels into a
 /// `(k, nc·m·m)` matrix and multiplies with a cache-blocked GEMM.
 /// Numerically equivalent to [`conv2d_direct`] up to f32 summation-order
-/// effects. Allocates fresh buffers per call — hot loops should hold a
-/// [`ConvScratch`] and call [`conv2d_im2col_scratch`] instead.
+/// effects.
 ///
 /// # Errors
 ///
 /// Returns [`CnnError::ShapeMismatch`] if the tensors do not match `g`.
 pub fn conv2d_im2col(g: &ConvGeometry, input: &Tensor, kernels: &Tensor) -> Result<Tensor> {
-    let mut scratch = ConvScratch::new();
-    conv2d_im2col_scratch(g, input, kernels, &mut scratch)?;
+    check_conv_shapes(g, input, kernels)?;
     let o = g.output_side();
-    Tensor::from_vec(&[g.kernels(), o, o], scratch.out)
+    let k = g.kernels();
+    let rows = g.n_kernel() as usize; // nc*m*m
+    let cols = o * o;
+    let b = im2col(g, input)?;
+    let mut out = vec![0.0f32; k * cols];
+    gemm_blocked(kernels.as_slice(), b.as_slice(), &mut out, k, rows, cols);
+    Tensor::from_vec(&[k, o, o], out)
 }
 
 /// Extracts the receptive field of output location `(oy, ox)` as a flat

@@ -5,8 +5,7 @@
 //! from a 4×4 input tile with 16 multiplies instead of 36, via
 //! `Y = Aᵀ[(G g Gᵀ) ⊙ (Bᵀ d B)]A`. Three-way agreement between direct,
 //! im2col and Winograd is the strongest correctness evidence this crate can
-//! give the ground-truth engine the photonic datapath is judged against —
-//! and the electronic baselines in the benches get a realistic fast kernel.
+//! give the ground-truth engine the photonic datapath is judged against.
 
 use crate::geometry::ConvGeometry;
 use crate::tensor::Tensor;

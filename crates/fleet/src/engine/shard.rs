@@ -53,12 +53,12 @@
 //! The partitioned fleet is a *different serving system* from the
 //! single-shard engine: a class is placed only within its cell's
 //! instances (placement loses the other cells' hardware), and admission
-//! bounds are per-cell slices of the global bound. The single-shard
-//! (`shards = 1`) run of **this** engine — not the whole-fleet
-//! `simulate()` — is therefore the oracle every other shard/thread
-//! count must reproduce bit-for-bit. For a scenario with one class (or
-//! one instance) the plan degenerates to a single cell and
-//! `simulate_sharded` coincides with `simulate()` exactly.
+//! bounds are per-cell slices of the global bound. What every other
+//! shard/thread count must reproduce bit-for-bit is therefore the same
+//! plan run on one worker (`shards = 1`) — not the whole-fleet
+//! `simulate()`. For a scenario with one class (or one instance) the
+//! plan degenerates to a single cell and `simulate_sharded` coincides
+//! with `simulate()` exactly.
 
 use super::core::{CellEngine, CellOutcome};
 use super::merge;
@@ -466,9 +466,10 @@ impl FleetScenario {
     /// everything on the calling thread), merged in canonical order.
     ///
     /// **Determinism contract:** same seed ⇒ bit-identical report for
-    /// every `(shards, threads)` combination. The `shards = 1` run is
-    /// the oracle; see the module docs for how the partitioned fleet
-    /// differs semantically from [`simulate`](FleetScenario::simulate).
+    /// every `(shards, threads)` combination, including the same plan
+    /// run on one worker (`shards = 1`); see the module docs for how the
+    /// partitioned fleet differs semantically from
+    /// [`simulate`](FleetScenario::simulate).
     ///
     /// # Errors
     ///
@@ -481,8 +482,8 @@ impl FleetScenario {
     /// hierarchical [`PlanShape`]: leaves are grouped into scheduling
     /// units of `shape.group_width` cells and workers execute whole
     /// groups. The report is bit-identical to the flat shape (and to
-    /// the `shards = 1` oracle) — the shape moves wall-clock, never
-    /// results.
+    /// the same plan run on one worker) — the shape moves wall-clock,
+    /// never results.
     ///
     /// # Errors
     ///
@@ -615,8 +616,8 @@ fn window_len(scenario: &FleetScenario, quotes: &QuoteTable) -> f64 {
 
 /// Everything on the calling thread: stream arrivals straight into the
 /// owning cells (no buffering at all), then drain each cell in order.
-/// This is the `shards = 1` oracle path — and also what `simulate()`
-/// runs with a single whole-fleet cell.
+/// This is the path of the same plan run on one worker — and also what
+/// `simulate()` runs with a single whole-fleet cell.
 pub(crate) fn run_serial<S: TraceSink>(
     scenario: &FleetScenario,
     seed: u64,

@@ -95,11 +95,11 @@ where
 /// the **sharded engine** sequentially
 /// ([`FleetScenario::simulate_sharded_seeded`] at one shard worker), so
 /// the replica semantics are exactly the sharded semantics at any shard
-/// count (the `shards = 1` oracle), chaos fault timelines included, and
-/// the worker pool spends its parallelism across replicas — the right
-/// grain for replication, where replicas outnumber cores. Replicas share
-/// the borrowed scenario and override only the seed — no per-replica deep
-/// copy of the classes' layer stacks. Quotes are recomputed per replica
+/// count (the same plan run on one worker), chaos fault timelines
+/// included, and the worker pool spends its parallelism across replicas —
+/// the right grain for replication, where replicas outnumber cores.
+/// Replicas share the borrowed scenario and override only the seed — no
+/// per-replica deep copy of the classes' layer stacks. Quotes are recomputed per replica
 /// (cheap — identical configs quote once — and this keeps replicas fully
 /// independent).
 ///

@@ -497,6 +497,92 @@ proptest! {
     }
 }
 
+/// The mega shape: one homogeneous fleet of `n_instances` default
+/// configs serving 16 LeNet-5 classes with staggered SLOs, so the shard
+/// plan builds 16 leaf cells. Poisson arrivals at 10M req/s over a
+/// 2 ms horizon: about 20k requests.
+fn mega_scenario(n_instances: usize) -> FleetScenario {
+    FleetScenario {
+        classes: (0..16)
+            .map(|i| NetworkClass::lenet5(0.002 + 0.001 * i as f64, 1.0))
+            .collect(),
+        arrival: ArrivalProcess::Poisson {
+            rate_rps: 10_000_000.0,
+        },
+        policy: Policy::NetworkAffinity,
+        instances: vec![PcnnaConfig::default(); n_instances],
+        max_batch: 32,
+        queue_capacity: 1_000_000,
+        horizon_s: 0.002,
+        seed: 42,
+        ..FleetScenario::default()
+    }
+}
+
+#[test]
+fn mega_fleets_are_bit_identical_across_workers_and_plan_shapes() {
+    // At 10k and 100k instances the 16-cell plan run on one worker, on
+    // eight workers with the flat plan, and on eight workers with four
+    // leaves per scheduling group must produce the same report.
+    for n_instances in [10_000, 100_000] {
+        let scenario = mega_scenario(n_instances);
+        let one_worker = scenario.simulate_sharded(1, 1).unwrap();
+        assert!(one_worker.completed > 10_000, "{n_instances} instances");
+        assert_eq!(
+            one_worker,
+            scenario.simulate_sharded(8, 8).unwrap(),
+            "{n_instances} instances: flat plan on 8 workers diverged"
+        );
+        assert_eq!(
+            one_worker,
+            scenario
+                .simulate_sharded_shaped(8, 8, PlanShape { group_width: 4 })
+                .unwrap(),
+            "{n_instances} instances: group width 4 on 8 workers diverged"
+        );
+    }
+}
+
+#[test]
+fn accuracy_floors_below_every_pristine_quote_serve_the_same_traffic() {
+    // Floors under every pristine top-1 quote (LeNet-5 >= 0.5, AlexNet
+    // >= 0.85 against 0.885+ quoted) with routing on refuse nothing, so
+    // the fleet must serve exactly the traffic it serves without floors.
+    let plain = FleetScenario {
+        classes: vec![
+            NetworkClass::lenet5(0.005, 2.0),
+            NetworkClass::alexnet(0.050, 1.0),
+        ],
+        arrival: ArrivalProcess::Poisson { rate_rps: 50_000.0 },
+        policy: Policy::NetworkAffinity,
+        instances: vec![PcnnaConfig::default(); 4],
+        horizon_s: 0.2,
+        queue_capacity: 1_000_000,
+        ..FleetScenario::default()
+    };
+    let floored = FleetScenario {
+        classes: vec![
+            NetworkClass::lenet5(0.005, 2.0).with_min_accuracy(0.5),
+            NetworkClass::alexnet(0.050, 1.0).with_min_accuracy(0.85),
+        ],
+        accuracy_routing: true,
+        ..plain.clone()
+    };
+    let a = plain.simulate().unwrap();
+    let b = floored.simulate().unwrap();
+    assert!(a.completed > 0);
+    assert_eq!(
+        (a.offered, a.admitted, a.rejected, a.completed),
+        (b.offered, b.admitted, b.rejected, b.completed)
+    );
+    assert_eq!(a.latency, b.latency);
+    for (pa, pb) in a.per_class.iter().zip(&b.per_class) {
+        assert_eq!(pa.completed, pb.completed, "{}", pa.name);
+        assert_eq!(pa.latency, pb.latency, "{}", pa.name);
+        assert_eq!(pb.below_accuracy, 0, "{}", pb.name);
+    }
+}
+
 /// A scripted worst-case controller: every window it flips the scale
 /// target between the full fleet and the floor. With a boot time longer
 /// than the window, every second plan aborts boots still in flight —
