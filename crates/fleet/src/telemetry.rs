@@ -741,6 +741,90 @@ mod tests {
     }
 
     #[test]
+    fn trace_event_renders_golden_bytes() {
+        let sentinels = TraceEvent {
+            cell: 2,
+            seq: 5,
+            t_s: 0.25,
+            kind: TraceEventKind::Failover,
+            id: NO_REQUEST,
+            class: NO_CLASS,
+            instance: NO_INSTANCE,
+            accuracy: NO_ACCURACY,
+        };
+        assert_eq!(
+            sentinels.render_json(),
+            r#"{"type":"event","cell":2,"seq":5,"t_s":0.25,"kind":"failover","id":null,"class":null,"instance":null,"accuracy":null}"#
+        );
+        let served = TraceEvent {
+            cell: 0,
+            seq: 1,
+            t_s: 0.1 + 0.2,
+            kind: TraceEventKind::Complete,
+            id: 42,
+            class: 1,
+            instance: 3,
+            accuracy: 0.875,
+        };
+        assert_eq!(
+            served.render_json(),
+            r#"{"type":"event","cell":0,"seq":1,"t_s":0.30000000000000004,"kind":"complete","id":42,"class":1,"instance":3,"accuracy":0.875}"#
+        );
+    }
+
+    #[test]
+    fn profile_renders_golden_bytes() {
+        let profile = Profile {
+            wheel_pushes: 1,
+            wheel_pops: 2,
+            dispatch_scans: 3,
+            quote_lookups: 4,
+            merge_folds: 5,
+            events_recorded: 6,
+            requests_sampled: 7,
+        };
+        assert_eq!(
+            profile.render_json(),
+            r#"{"type":"profile","wheel_pushes":1,"wheel_pops":2,"dispatch_scans":3,"quote_lookups":4,"merge_folds":5,"events_recorded":6,"requests_sampled":7}"#
+        );
+    }
+
+    #[test]
+    fn window_sample_renders_golden_bytes() {
+        let sample = WindowSample {
+            index: 3,
+            t_s: 2.0,
+            queue_depth: 17,
+            utilization: 0.5,
+            arrivals: 100,
+            completed: 90,
+            shed: 4,
+            throttled: 6,
+            health: HealthMix {
+                serving: 1,
+                idle: 2,
+                draining: 3,
+                booting: 4,
+                parked: 5,
+                recalibrating: 6,
+                failed: 7,
+                degraded: 8,
+            },
+            class_p50_s: vec![],
+            class_p99_s: vec![0.0, 0.0125],
+            powered_s: 0.0,
+            target_active: 9,
+            classes_closed: 1,
+            classes_quota: 2,
+            shed_classes: 3,
+        };
+        assert_eq!(
+            sample.render_json(),
+            r#"{"type":"window","index":3,"t_s":2,"queue_depth":17,"utilization":0.5,"arrivals":100,"completed":90,"shed":4,"throttled":6,"health":{"serving":1,"idle":2,"draining":3,"booting":4,"parked":5,"recalibrating":6,"failed":7,"degraded":8},"class_p50_s":[],"class_p99_s":[0,0.0125],"powered_s":0,"target_active":9,"classes_closed":1,"classes_quota":2,"shed_classes":3}"#
+        );
+    }
+
+    #[test]
     fn trace_merge_is_cell_order_and_sums_profiles() {
         let mut a = TracingSink::new(0, 1, &cfg(1, 10));
         let mut b = TracingSink::new(1, 1, &cfg(1, 10));
