@@ -13,14 +13,15 @@
 //! and the two JSON payloads are asserted byte-identical before
 //! anything is written — same seed + same policy ⇒ byte-identical
 //! `BENCH_control.json` (no wall-clock fields). The pass also asserts
-//! the controller-on-shards=1 oracle: a `Hold` policy at full
-//! provision must reproduce `simulate()` bit for bit (the controlled
-//! driver runs the whole-fleet single cell — see the `control` module
-//! docs for the consistency model).
+//! the hold-equals-simulate oracle: a `Hold` policy at full provision
+//! must reproduce `simulate()` bit for bit (the controlled driver runs
+//! the whole-fleet single cell `simulate()` runs — see the `control`
+//! module docs for the consistency model).
 
-use pcnna_bench::report::{assert_books, chaos_config, json_f, serving_classes, write_artifact};
+use pcnna_bench::report::{assert_books, chaos_config, serving_classes, write_artifact};
 use pcnna_core::PcnnaConfig;
 use pcnna_fleet::prelude::*;
+use pcnna_fleet::scenario::json::{self, Json};
 use std::time::Instant;
 
 struct Args {
@@ -121,28 +122,24 @@ struct Row {
 }
 
 impl Row {
-    fn json(&self) -> String {
-        format!(
-            "{{\"arrival\":\"{}\",\"policy\":\"{}\",\"offered\":{},\"completed\":{},\
-             \"shed\":{},\"throttled\":{},\"unserved\":{},\"scale_ups\":{},\
-             \"scale_downs\":{},\"slo_attainment\":{},\"p99_ms\":{},\"goodput\":{},\
-             \"mean_active\":{},\"mean_power_w\":{},\"slo_per_watt\":{}}}",
-            self.arrival,
-            self.policy,
-            self.offered,
-            self.completed,
-            self.shed,
-            self.throttled,
-            self.unserved,
-            self.scale_ups,
-            self.scale_downs,
-            json_f(self.slo_attainment),
-            json_f(self.p99_ms),
-            json_f(self.power.goodput),
-            json_f(self.mean_active),
-            json_f(self.power.mean_power_w),
-            json_f(self.power.slo_per_watt),
-        )
+    fn json(&self) -> Json {
+        json::obj([
+            ("arrival", json::str(self.arrival)),
+            ("policy", json::str(&self.policy)),
+            ("offered", json::int(self.offered)),
+            ("completed", json::int(self.completed)),
+            ("shed", json::int(self.shed)),
+            ("throttled", json::int(self.throttled)),
+            ("unserved", json::int(self.unserved)),
+            ("scale_ups", json::int(self.scale_ups)),
+            ("scale_downs", json::int(self.scale_downs)),
+            ("slo_attainment", json::fixed(self.slo_attainment, 6)),
+            ("p99_ms", json::fixed(self.p99_ms, 6)),
+            ("goodput", json::fixed(self.power.goodput, 6)),
+            ("mean_active", json::fixed(self.mean_active, 6)),
+            ("mean_power_w", json::fixed(self.power.mean_power_w, 6)),
+            ("slo_per_watt", json::fixed(self.power.slo_per_watt, 6)),
+        ])
     }
 }
 
@@ -206,8 +203,8 @@ fn measure(args: &Args) -> (String, Vec<Row>) {
     let base = base_scenario(args.smoke, args.seed);
     let cfg = control_config();
 
-    // Controller-on-shards=1 oracle: a non-acting controller at full
-    // provision must reproduce the open-loop engine bit for bit.
+    // Hold-equals-simulate oracle: a non-acting controller at full
+    // provision must reproduce the open-loop `simulate()` bit for bit.
     let oracle = base.simulate().expect("scenario is valid");
     let held = base
         .simulate_controlled(&cfg, &mut Hold)
@@ -254,29 +251,28 @@ fn measure(args: &Args) -> (String, Vec<Row>) {
         ));
     }
 
-    let row_json: Vec<String> = rows.iter().map(Row::json).collect();
-    let chaos_json: Vec<String> = chaos_rows
+    let chaos_json = chaos_rows
         .iter()
-        .map(|(name, row)| format!("{{\"scenario\":\"{}\",\"row\":{}}}", name, row.json()))
+        .map(|(name, row)| json::obj([("scenario", json::str(*name)), ("row", row.json())]))
         .collect();
-    let json = format!(
-        "{{\"bench\":\"control\",\"mode\":\"{}\",\"seed\":{},\"fleet\":{},\
-         \"peak_rps\":{},\"horizon_s\":{},\"window_ms\":{},\"boot_ms\":{},\
-         \"idle_power_w\":{},\"oracle\":\"hold-equals-simulate\",\
-         \"rows\":[{}],\"chaos\":[{}]}}\n",
-        if args.smoke { "smoke" } else { "full" },
-        args.seed,
-        base.instances.len(),
-        json_f(base.arrival.peak_rate_rps()),
-        json_f(base.horizon_s),
-        json_f(1e3 * cfg.window_s),
-        json_f(1e3 * cfg.boot_s),
-        json_f(cfg.idle_power_w),
-        row_json.join(","),
-        chaos_json.join(","),
-    );
+    let payload = json::obj([
+        ("bench", json::str("control")),
+        ("mode", json::str(if args.smoke { "smoke" } else { "full" })),
+        ("seed", json::int(args.seed)),
+        ("fleet", json::uint(base.instances.len())),
+        ("peak_rps", json::fixed(base.arrival.peak_rate_rps(), 6)),
+        ("horizon_s", json::fixed(base.horizon_s, 6)),
+        ("window_ms", json::fixed(1e3 * cfg.window_s, 6)),
+        ("boot_ms", json::fixed(1e3 * cfg.boot_s, 6)),
+        ("idle_power_w", json::fixed(cfg.idle_power_w, 6)),
+        ("oracle", json::str("hold-equals-simulate")),
+        ("rows", Json::Arr(rows.iter().map(Row::json).collect())),
+        ("chaos", Json::Arr(chaos_json)),
+    ])
+    .render()
+        + "\n";
     rows.extend(chaos_rows.into_iter().map(|(_, r)| r));
-    (json, rows)
+    (payload, rows)
 }
 
 fn main() {
@@ -289,10 +285,10 @@ fn main() {
     );
 
     // In-run double-simulate byte-identity: the entire pass, twice.
-    let (json, rows) = measure(&args);
-    let (json_again, _) = measure(&args);
+    let (payload, rows) = measure(&args);
+    let (payload_again, _) = measure(&args);
     assert_eq!(
-        json, json_again,
+        payload, payload_again,
         "two in-process passes must emit byte-identical payloads"
     );
 
@@ -349,7 +345,7 @@ fn main() {
          chaos improved {chaos_improved}/4"
     );
 
-    write_artifact("BENCH_control.json", &json);
+    write_artifact("BENCH_control.json", &payload);
 
     if args.check {
         let mut failed = false;

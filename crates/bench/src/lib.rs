@@ -1,6 +1,6 @@
 //! Figure/table regeneration harness for the PCNNA reproduction.
 //!
-//! One binary per paper artifact (see DESIGN.md §3 for the index):
+//! One binary per paper artifact:
 //!
 //! | target | artifact |
 //! |--------|----------|

@@ -8,11 +8,10 @@
 //! but default to the paper's converters).
 
 use crate::tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// Symmetric linear quantizer over `[-range, +range]` with `bits` of
 /// resolution (one bit of which is the sign).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Quantizer {
     bits: u8,
     range: f32,

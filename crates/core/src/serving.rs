@@ -46,7 +46,6 @@ use pcnna_cnn::geometry::ConvGeometry;
 use pcnna_electronics::time::SimTime;
 use pcnna_photonics::degradation::{DegradationLimits, HealthState};
 use pcnna_photonics::noise::health_snr_penalty_db;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::{Mutex, OnceLock};
@@ -54,7 +53,7 @@ use std::sync::{Mutex, OnceLock};
 /// The quoted inference quality of one network on one instance's health:
 /// how many effective bits the analog datapath still resolves, and the
 /// measured top-1 accuracy at that resolution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AccuracyQuote {
     /// Quoted electrical SNR of the analog readout, dB (nominal converter
     /// SNR plus the health's penalty).
@@ -71,7 +70,7 @@ pub struct AccuracyQuote {
 
 /// The affine time/energy cost of serving one network on one config,
 /// plus the accuracy the analog datapath delivers while doing so.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServiceQuote {
     /// One-time cost per batch: reprogramming every layer's MRR bank
     /// through the weight DAC(s).
@@ -166,7 +165,7 @@ impl<'a> QuoteRequest<'a> {
 /// A quote re-derived for the requested hardware state, with the
 /// derivation's provenance alongside (what capacity survived and what the
 /// laser compensation costs).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DegradedQuote {
     /// The re-derived affine cost model (already includes the laser
     /// compensation energy) and the accuracy quote for the requested

@@ -16,11 +16,12 @@
 //! ## Consistency model
 //!
 //! The controlled driver runs the **whole-fleet single cell** — the
-//! same engine `simulate()` uses — so the controller observes exact
-//! fleet-global state at every window boundary. This is the shards = 1
-//! oracle semantics: under a sharded execution a controller would see
-//! merge-window-granular aggregates instead, and this PR pins the
-//! oracle rather than defining a weaker sharded feedback contract.
+//! same engine [`FleetScenario::simulate`] uses, not a sharded plan —
+//! so the controller observes exact fleet-global state at every window
+//! boundary. Under a sharded execution a controller would see
+//! merge-window-granular aggregates instead; no such weaker sharded
+//! feedback contract is defined yet, so control runs only on the
+//! `simulate()` engine.
 //! Determinism contract: same scenario + same seed + same policy ⇒
 //! bit-identical [`ControlledReport`], and a [`Hold`](policy::Hold)
 //! policy at full initial provision reproduces
@@ -58,10 +59,9 @@ use crate::{FleetError, Result};
 use actuator::Actuator;
 use observer::Observer;
 use policy::{Admission, ControlPolicy, FleetView};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the closed control loop.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ControlConfig {
     /// Control window length, seconds: the loop observes and acts at
     /// every multiple of this.
@@ -135,7 +135,7 @@ impl ControlConfig {
 }
 
 /// Energy-aware serving quality of one run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerMetrics {
     /// Total powered instance-seconds (booting and failed-but-powered
     /// included; parked excluded).
@@ -195,7 +195,7 @@ pub fn uncontrolled_power_metrics(
 }
 
 /// One control window's footprint in the report trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WindowTrace {
     /// Window end, seconds.
     pub t_s: f64,
@@ -221,7 +221,7 @@ pub struct WindowTrace {
 
 /// The result of one closed-loop run: the ordinary [`FleetReport`]
 /// plus the control plane's own ledgers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ControlledReport {
     /// The merged fleet report (identical semantics to `simulate()`).
     pub report: FleetReport,

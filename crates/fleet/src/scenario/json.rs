@@ -1,9 +1,10 @@
-//! Minimal deterministic JSON for scenario files.
+//! The workspace's one JSON layer: a small value model, a strict
+//! parser, and a deterministic renderer.
 //!
-//! The workspace's `serde` is an offline no-op facade (its derives
-//! expand to nothing), so the scenario format carries its own codec:
-//! a small value model, a strict parser, and a deterministic renderer.
-//! Two properties matter more than generality here:
+//! Scenario files parse and render through it, and every artifact the
+//! workspace writes — telemetry JSONL and the bench bins' `BENCH_*`
+//! records — is built as a [`Json`] value and rendered here. Two
+//! properties matter more than generality:
 //!
 //! * **Losslessness.** Floats render via `f64`'s `Debug` formatting,
 //!   which is shortest-roundtrip (`render(x).parse::<f64>() == x`
@@ -15,6 +16,10 @@
 //!   renderer is a pure function of the value, so the same spec always
 //!   renders the same bytes — the contract the fuzz campaign's
 //!   byte-identical artifacts and the committed scenario files rely on.
+//!
+//! Artifacts whose floats have a fixed spelling (telemetry's `Display`,
+//! the bench records' fixed decimals) use [`display`] and [`fixed`],
+//! which pin the spelling in a [`Json::Fmt`] number.
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -27,6 +32,9 @@ pub enum Json {
     Int(i128),
     /// A number token with `.` or exponent.
     Num(f64),
+    /// A finite float in a caller-chosen spelling, from [`fixed`] or
+    /// [`display`]. Rendered verbatim; the parser never produces it.
+    Fmt(FmtNum),
     /// A string.
     Str(String),
     /// An array.
@@ -135,6 +143,7 @@ impl Json {
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Int(i) => out.push_str(&i.to_string()),
             Json::Num(n) => out.push_str(&render_f64(*n)),
+            Json::Fmt(FmtNum(s)) => out.push_str(s),
             Json::Str(s) => render_str(s, out),
             Json::Arr(items) => {
                 out.push('[');
@@ -448,6 +457,12 @@ impl Parser<'_> {
     }
 }
 
+/// `Json::Obj`, from `(key, value)` pairs in render order.
+#[must_use]
+pub fn obj<const N: usize>(fields: [(&str, Json); N]) -> Json {
+    Json::Obj(fields.map(|(k, v)| (k.to_owned(), v)).into())
+}
+
 /// `Json::Num`, from a finite float.
 #[must_use]
 pub fn num(n: f64) -> Json {
@@ -464,6 +479,33 @@ pub fn int(i: u64) -> Json {
 #[must_use]
 pub fn uint(i: usize) -> Json {
     Json::Int(i as i128)
+}
+
+/// The spelling of a [`Json::Fmt`] number. Its field is private, so
+/// only [`fixed`] and [`display`] make one, from finite floats.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FmtNum(String);
+
+/// A float with `digits` fixed decimals (`{v:.digits$}`), or
+/// [`Json::Null`] if it is not finite.
+#[must_use]
+pub fn fixed(v: f64, digits: usize) -> Json {
+    fmt_num(v, |v| format!("{v:.digits$}"))
+}
+
+/// A float in `f64`'s shortest-roundtrip `Display` spelling (`0.0`
+/// renders as `0`), or [`Json::Null`] if it is not finite.
+#[must_use]
+pub fn display(v: f64) -> Json {
+    fmt_num(v, |v| v.to_string())
+}
+
+fn fmt_num(v: f64, spell: impl FnOnce(f64) -> String) -> Json {
+    if v.is_finite() {
+        Json::Fmt(FmtNum(spell(v)))
+    } else {
+        Json::Null
+    }
 }
 
 /// `Json::Str`, from anything string-like.
@@ -507,6 +549,22 @@ mod tests {
     }
 
     #[test]
+    fn fixed_and_display_pin_the_spelling() {
+        assert_eq!(fixed(0.5, 6).render(), "0.500000");
+        assert_eq!(fixed(1.0 / 3.0, 6).render(), "0.333333");
+        assert_eq!(fixed(1234.5678, 0).render(), "1235");
+        assert_eq!(display(0.0).render(), "0");
+        assert_eq!(display(0.1 + 0.2).render(), "0.30000000000000004");
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(fixed(bad, 6), Json::Null);
+            assert_eq!(display(bad), Json::Null);
+        }
+        // the pinned spelling re-parses as the plain number variants
+        assert_eq!(Json::parse(&fixed(0.5, 6).render()), Ok(Json::Num(0.5)));
+        assert_eq!(Json::parse(&display(2.0).render()), Ok(Json::Int(2)));
+    }
+
+    #[test]
     fn big_integers_survive_exactly() {
         let seed = u64::MAX - 12345;
         let v = int(seed);
@@ -533,7 +591,7 @@ mod tests {
 
     #[test]
     fn object_order_is_preserved() {
-        let v = Json::Obj(vec![("z".to_owned(), int(1)), ("a".to_owned(), int(2))]);
+        let v = obj([("z", int(1)), ("a", int(2))]);
         assert_eq!(v.render(), r#"{"z":1,"a":2}"#);
         assert_eq!(Json::parse(&v.render()).unwrap(), v);
     }

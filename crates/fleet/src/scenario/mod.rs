@@ -1,5 +1,4 @@
-//! Declarative scenario files: a serde-style JSON format for fleet
-//! experiments.
+//! Declarative scenario files: a JSON format for fleet experiments.
 //!
 //! A [`ScenarioSpec`] is the on-disk description of one serving
 //! experiment: arrival process, class mix with SLOs, heterogeneous
@@ -12,10 +11,8 @@
 //! (floats are shortest-roundtrip, integers exact — see
 //! [`json`]) and **deterministically** (same spec ⇒ same bytes).
 //!
-//! The workspace's vendored `serde` facade is inert (its derives
-//! expand to nothing), so this module carries its own codec in
-//! [`json`]; the `#[derive(Serialize, Deserialize)]` annotations on
-//! the engine types remain for real-serde compatibility.
+//! The codec is [`json`], the workspace's one JSON layer; the
+//! telemetry JSONL and the bench records render through it too.
 //!
 //! Parsing is strict in the `try_from` style: unknown keys, missing
 //! required fields, non-finite or negative times, out-of-range
@@ -681,11 +678,11 @@ impl ScenarioSpec {
                     self.classes
                         .iter()
                         .map(|c| {
-                            Json::Obj(vec![
-                                ("network".into(), json::str(&c.network)),
-                                ("slo_s".into(), json::num(c.slo_s)),
-                                ("weight".into(), json::num(c.weight)),
-                                ("min_accuracy".into(), json::num(c.min_accuracy)),
+                            json::obj([
+                                ("network", json::str(&c.network)),
+                                ("slo_s", json::num(c.slo_s)),
+                                ("weight", json::num(c.weight)),
+                                ("min_accuracy", json::num(c.min_accuracy)),
                             ])
                         })
                         .collect(),
@@ -701,13 +698,13 @@ impl ScenarioSpec {
             ("accuracy_routing".into(), Json::Bool(self.accuracy_routing)),
             (
                 "limits".into(),
-                Json::Obj(vec![
+                json::obj([
                     (
-                        "max_ambient_excursion_k".into(),
+                        "max_ambient_excursion_k",
                         json::num(self.limits.max_ambient_excursion_k),
                     ),
                     (
-                        "min_laser_power_factor".into(),
+                        "min_laser_power_factor",
                         json::num(self.limits.min_laser_power_factor),
                     ),
                 ]),
@@ -930,34 +927,33 @@ fn reject_unknown(value: &Json, known: &[&str], what: &str) -> Result<()> {
 
 fn arrival_to_json(arrival: &ArrivalProcess) -> Json {
     match *arrival {
-        ArrivalProcess::Poisson { rate_rps } => Json::Obj(vec![(
-            "poisson".into(),
-            Json::Obj(vec![("rate_rps".into(), json::num(rate_rps))]),
-        )]),
+        ArrivalProcess::Poisson { rate_rps } => {
+            json::obj([("poisson", json::obj([("rate_rps", json::num(rate_rps))]))])
+        }
         ArrivalProcess::Mmpp {
             low_rps,
             high_rps,
             dwell_low_s,
             dwell_high_s,
-        } => Json::Obj(vec![(
-            "mmpp".into(),
-            Json::Obj(vec![
-                ("low_rps".into(), json::num(low_rps)),
-                ("high_rps".into(), json::num(high_rps)),
-                ("dwell_low_s".into(), json::num(dwell_low_s)),
-                ("dwell_high_s".into(), json::num(dwell_high_s)),
+        } => json::obj([(
+            "mmpp",
+            json::obj([
+                ("low_rps", json::num(low_rps)),
+                ("high_rps", json::num(high_rps)),
+                ("dwell_low_s", json::num(dwell_low_s)),
+                ("dwell_high_s", json::num(dwell_high_s)),
             ]),
         )]),
         ArrivalProcess::Diurnal {
             base_rps,
             peak_rps,
             period_s,
-        } => Json::Obj(vec![(
-            "diurnal".into(),
-            Json::Obj(vec![
-                ("base_rps".into(), json::num(base_rps)),
-                ("peak_rps".into(), json::num(peak_rps)),
-                ("period_s".into(), json::num(period_s)),
+        } => json::obj([(
+            "diurnal",
+            json::obj([
+                ("base_rps", json::num(base_rps)),
+                ("peak_rps", json::num(peak_rps)),
+                ("period_s", json::num(period_s)),
             ]),
         )]),
     }
@@ -1082,17 +1078,11 @@ fn limits_from_json(value: &Json) -> Result<DegradationLimits> {
 // ---- faults --------------------------------------------------------
 
 fn health_to_json(h: &HealthState) -> Json {
-    Json::Obj(vec![
-        ("ambient_delta_k".into(), json::num(h.ambient_delta_k)),
-        ("laser_power_factor".into(), json::num(h.laser_power_factor)),
-        (
-            "dead_input_channels".into(),
-            json::uint(h.dead_input_channels),
-        ),
-        (
-            "dead_output_channels".into(),
-            json::uint(h.dead_output_channels),
-        ),
+    json::obj([
+        ("ambient_delta_k", json::num(h.ambient_delta_k)),
+        ("laser_power_factor", json::num(h.laser_power_factor)),
+        ("dead_input_channels", json::uint(h.dead_input_channels)),
+        ("dead_output_channels", json::uint(h.dead_output_channels)),
     ])
 }
 
@@ -1122,10 +1112,10 @@ fn health_from_json(value: &Json) -> Result<HealthState> {
 fn action_to_json(action: &FaultAction) -> Json {
     match action {
         FaultAction::Fail => json::str("fail"),
-        FaultAction::Degrade(h) => Json::Obj(vec![("degrade".into(), health_to_json(h))]),
-        FaultAction::Recalibrate { duration_s } => Json::Obj(vec![(
-            "recalibrate".into(),
-            Json::Obj(vec![("duration_s".into(), json::num(*duration_s))]),
+        FaultAction::Degrade(h) => json::obj([("degrade", health_to_json(h))]),
+        FaultAction::Recalibrate { duration_s } => json::obj([(
+            "recalibrate",
+            json::obj([("duration_s", json::num(*duration_s))]),
         )]),
     }
 }
@@ -1157,16 +1147,16 @@ fn action_from_json(value: &Json) -> Result<FaultAction> {
 
 fn faults_to_json(faults: &FaultSpec) -> Json {
     match faults {
-        FaultSpec::Events(events) => Json::Obj(vec![(
-            "events".into(),
+        FaultSpec::Events(events) => json::obj([(
+            "events",
             Json::Arr(
                 events
                     .iter()
                     .map(|e| {
-                        Json::Obj(vec![
-                            ("at_s".into(), json::num(e.at_s)),
-                            ("instance".into(), json::uint(e.instance)),
-                            ("action".into(), action_to_json(&e.action)),
+                        json::obj([
+                            ("at_s", json::num(e.at_s)),
+                            ("instance", json::uint(e.instance)),
+                            ("action", action_to_json(&e.action)),
                         ])
                     })
                     .collect(),
@@ -1176,12 +1166,12 @@ fn faults_to_json(faults: &FaultSpec) -> Json {
             kind,
             recalibration_s,
             seed,
-        } => Json::Obj(vec![(
-            "chaos".into(),
-            Json::Obj(vec![
-                ("kind".into(), json::str(kind.name())),
-                ("recalibration_s".into(), json::num(*recalibration_s)),
-                ("seed".into(), json::int(*seed)),
+        } => json::obj([(
+            "chaos",
+            json::obj([
+                ("kind", json::str(kind.name())),
+                ("recalibration_s", json::num(*recalibration_s)),
+                ("seed", json::int(*seed)),
             ]),
         )]),
     }
@@ -1250,23 +1240,20 @@ fn faults_from_json(value: &Json) -> Result<FaultSpec> {
 
 fn control_to_json(control: &ControlSpec) -> Json {
     let policy = match control.policy {
-        PolicySpec::Hold => Json::Obj(vec![("kind".into(), json::str("hold"))]),
+        PolicySpec::Hold => json::obj([("kind", json::str("hold"))]),
         PolicySpec::Reactive {
             scale_up_load,
             scale_down_load,
             p99_guard_frac,
             accuracy_guard,
             cooldown_windows,
-        } => Json::Obj(vec![
-            ("kind".into(), json::str("reactive")),
-            ("scale_up_load".into(), json::num(scale_up_load)),
-            ("scale_down_load".into(), json::num(scale_down_load)),
-            ("p99_guard_frac".into(), json::num(p99_guard_frac)),
-            ("accuracy_guard".into(), json::num(accuracy_guard)),
-            (
-                "cooldown_windows".into(),
-                json::int(u64::from(cooldown_windows)),
-            ),
+        } => json::obj([
+            ("kind", json::str("reactive")),
+            ("scale_up_load", json::num(scale_up_load)),
+            ("scale_down_load", json::num(scale_down_load)),
+            ("p99_guard_frac", json::num(p99_guard_frac)),
+            ("accuracy_guard", json::num(accuracy_guard)),
+            ("cooldown_windows", json::int(u64::from(cooldown_windows))),
         ]),
         PolicySpec::Predictive {
             alpha,
@@ -1274,27 +1261,27 @@ fn control_to_json(control: &ControlSpec) -> Json {
             target_util,
             p99_guard_frac,
             accuracy_guard,
-        } => Json::Obj(vec![
-            ("kind".into(), json::str("predictive")),
-            ("alpha".into(), json::num(alpha)),
-            ("beta".into(), json::num(beta)),
-            ("target_util".into(), json::num(target_util)),
-            ("p99_guard_frac".into(), json::num(p99_guard_frac)),
-            ("accuracy_guard".into(), json::num(accuracy_guard)),
+        } => json::obj([
+            ("kind", json::str("predictive")),
+            ("alpha", json::num(alpha)),
+            ("beta", json::num(beta)),
+            ("target_util", json::num(target_util)),
+            ("p99_guard_frac", json::num(p99_guard_frac)),
+            ("accuracy_guard", json::num(accuracy_guard)),
         ]),
     };
     let cfg = &control.config;
-    Json::Obj(vec![
-        ("policy".into(), policy),
+    json::obj([
+        ("policy", policy),
         (
-            "config".into(),
-            Json::Obj(vec![
-                ("window_s".into(), json::num(cfg.window_s)),
-                ("boot_s".into(), json::num(cfg.boot_s)),
-                ("min_active".into(), json::uint(cfg.min_active)),
-                ("initial_active".into(), json::uint(cfg.initial_active)),
-                ("max_step".into(), json::uint(cfg.max_step)),
-                ("idle_power_w".into(), json::num(cfg.idle_power_w)),
+            "config",
+            json::obj([
+                ("window_s", json::num(cfg.window_s)),
+                ("boot_s", json::num(cfg.boot_s)),
+                ("min_active", json::uint(cfg.min_active)),
+                ("initial_active", json::uint(cfg.initial_active)),
+                ("max_step", json::uint(cfg.max_step)),
+                ("idle_power_w", json::num(cfg.idle_power_w)),
             ]),
         ),
     ])

@@ -38,7 +38,7 @@
 //!
 //! [`FleetReport`]: crate::metrics::FleetReport
 
-use serde::{Deserialize, Serialize};
+use crate::scenario::json::{self, Json};
 use std::collections::HashSet;
 
 /// Sentinel request id for instance-level trace events (a failure,
@@ -55,7 +55,7 @@ pub const NO_INSTANCE: u32 = u32::MAX;
 pub const NO_ACCURACY: f64 = -1.0;
 
 /// The lifecycle moments the engine can record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEventKind {
     /// A request entered the system (offered).
     Arrive,
@@ -110,7 +110,7 @@ impl TraceEventKind {
 /// `(cell, seq)` is the event's identity: `seq` increments in the
 /// cell's deterministic processing order, so two traces of the same
 /// seed are equal exactly when the runs behaved identically.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
     /// Index of the cell (shard-plan partition) that recorded this.
     pub cell: u32,
@@ -128,7 +128,6 @@ pub struct TraceEvent {
     pub instance: u32,
     /// Quoted top-1 accuracy of the serving instance at dispatch /
     /// completion, or [`NO_ACCURACY`] for events that carry none.
-    #[serde(default)]
     pub accuracy: f64,
 }
 
@@ -138,42 +137,30 @@ impl TraceEvent {
     /// rendering inherits the trace's byte-identity.
     #[must_use]
     pub fn render_json(&self) -> String {
-        format!(
-            "{{\"type\":\"event\",\"cell\":{},\"seq\":{},\"t_s\":{},\"kind\":\"{}\",\
-             \"id\":{},\"class\":{},\"instance\":{},\"accuracy\":{}}}",
-            self.cell,
-            self.seq,
-            self.t_s,
-            self.kind.as_str(),
-            json_opt_u64(self.id, NO_REQUEST),
-            json_opt_u32(self.class, NO_CLASS),
-            json_opt_u32(self.instance, NO_INSTANCE),
-            json_opt_accuracy(self.accuracy),
-        )
-    }
-}
-
-fn json_opt_u64(v: u64, sentinel: u64) -> String {
-    if v == sentinel {
-        "null".to_owned()
-    } else {
-        v.to_string()
-    }
-}
-
-fn json_opt_u32(v: u32, sentinel: u32) -> String {
-    if v == sentinel {
-        "null".to_owned()
-    } else {
-        v.to_string()
-    }
-}
-
-fn json_opt_accuracy(v: f64) -> String {
-    if v < 0.0 {
-        "null".to_owned()
-    } else {
-        v.to_string()
+        let id = |v: u64, sentinel: u64| {
+            if v == sentinel {
+                Json::Null
+            } else {
+                json::int(v)
+            }
+        };
+        let accuracy = if self.accuracy < 0.0 {
+            Json::Null
+        } else {
+            json::display(self.accuracy)
+        };
+        json::obj([
+            ("type", json::str("event")),
+            ("cell", json::int(self.cell.into())),
+            ("seq", json::int(self.seq)),
+            ("t_s", json::display(self.t_s)),
+            ("kind", json::str(self.kind.as_str())),
+            ("id", id(self.id, NO_REQUEST)),
+            ("class", id(self.class.into(), NO_CLASS.into())),
+            ("instance", id(self.instance.into(), NO_INSTANCE.into())),
+            ("accuracy", accuracy),
+        ])
+        .render()
     }
 }
 
@@ -193,7 +180,7 @@ pub enum ProfileOp {
 }
 
 /// Counter totals over the hot engine phases of one run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Profile {
     /// Timing-wheel insertions (completions, control, and fault events).
     pub wheel_pushes: u64,
@@ -226,18 +213,17 @@ impl Profile {
     /// Renders the profile as one JSON object (no trailing newline).
     #[must_use]
     pub fn render_json(&self) -> String {
-        format!(
-            "{{\"type\":\"profile\",\"wheel_pushes\":{},\"wheel_pops\":{},\
-             \"dispatch_scans\":{},\"quote_lookups\":{},\"merge_folds\":{},\
-             \"events_recorded\":{},\"requests_sampled\":{}}}",
-            self.wheel_pushes,
-            self.wheel_pops,
-            self.dispatch_scans,
-            self.quote_lookups,
-            self.merge_folds,
-            self.events_recorded,
-            self.requests_sampled,
-        )
+        json::obj([
+            ("type", json::str("profile")),
+            ("wheel_pushes", json::int(self.wheel_pushes)),
+            ("wheel_pops", json::int(self.wheel_pops)),
+            ("dispatch_scans", json::int(self.dispatch_scans)),
+            ("quote_lookups", json::int(self.quote_lookups)),
+            ("merge_folds", json::int(self.merge_folds)),
+            ("events_recorded", json::int(self.events_recorded)),
+            ("requests_sampled", json::int(self.requests_sampled)),
+        ])
+        .render()
     }
 }
 
@@ -313,7 +299,7 @@ impl TraceSink for NullSink {
 }
 
 /// Sampling and sizing knobs for a traced run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceConfig {
     /// Trace every `stride`-th request of each class (by per-class
     /// arrival ordinal; `0` is treated as `1` = trace everything).
@@ -502,7 +488,7 @@ impl FleetTrace {
 /// exactly one of the first seven states (they partition the fleet);
 /// `degraded` is an overlay counting instances whose health is below
 /// nominal regardless of state.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HealthMix {
     /// Serving a batch right now.
     pub serving: usize,
@@ -523,26 +509,24 @@ pub struct HealthMix {
 }
 
 impl HealthMix {
-    /// Renders the mix as one JSON object (no surrounding line type).
+    /// The mix as one JSON object (no surrounding line type).
     #[must_use]
-    pub fn render_json(&self) -> String {
-        format!(
-            "{{\"serving\":{},\"idle\":{},\"draining\":{},\"booting\":{},\"parked\":{},\
-             \"recalibrating\":{},\"failed\":{},\"degraded\":{}}}",
-            self.serving,
-            self.idle,
-            self.draining,
-            self.booting,
-            self.parked,
-            self.recalibrating,
-            self.failed,
-            self.degraded,
-        )
+    pub fn to_json(&self) -> Json {
+        json::obj([
+            ("serving", json::uint(self.serving)),
+            ("idle", json::uint(self.idle)),
+            ("draining", json::uint(self.draining)),
+            ("booting", json::uint(self.booting)),
+            ("parked", json::uint(self.parked)),
+            ("recalibrating", json::uint(self.recalibrating)),
+            ("failed", json::uint(self.failed)),
+            ("degraded", json::uint(self.degraded)),
+        ])
     }
 }
 
 /// One control window in the telemetry timeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WindowSample {
     /// Window ordinal, from 0.
     pub index: u64,
@@ -585,42 +569,34 @@ impl WindowSample {
     /// Renders the sample as one JSON object (no trailing newline).
     #[must_use]
     pub fn render_json(&self) -> String {
-        let join_f = |v: &[f64]| {
-            v.iter()
-                .map(|x| x.to_string())
-                .collect::<Vec<_>>()
-                .join(",")
-        };
-        format!(
-            "{{\"type\":\"window\",\"index\":{},\"t_s\":{},\"queue_depth\":{},\
-             \"utilization\":{},\"arrivals\":{},\"completed\":{},\"shed\":{},\
-             \"throttled\":{},\"health\":{},\"class_p50_s\":[{}],\"class_p99_s\":[{}],\
-             \"powered_s\":{},\"target_active\":{},\"classes_closed\":{},\
-             \"classes_quota\":{},\"shed_classes\":{}}}",
-            self.index,
-            self.t_s,
-            self.queue_depth,
-            self.utilization,
-            self.arrivals,
-            self.completed,
-            self.shed,
-            self.throttled,
-            self.health.render_json(),
-            join_f(&self.class_p50_s),
-            join_f(&self.class_p99_s),
-            self.powered_s,
-            self.target_active,
-            self.classes_closed,
-            self.classes_quota,
-            self.shed_classes,
-        )
+        let arr = |v: &[f64]| Json::Arr(v.iter().map(|&x| json::display(x)).collect());
+        json::obj([
+            ("type", json::str("window")),
+            ("index", json::int(self.index)),
+            ("t_s", json::display(self.t_s)),
+            ("queue_depth", json::uint(self.queue_depth)),
+            ("utilization", json::display(self.utilization)),
+            ("arrivals", json::int(self.arrivals)),
+            ("completed", json::int(self.completed)),
+            ("shed", json::int(self.shed)),
+            ("throttled", json::int(self.throttled)),
+            ("health", self.health.to_json()),
+            ("class_p50_s", arr(&self.class_p50_s)),
+            ("class_p99_s", arr(&self.class_p99_s)),
+            ("powered_s", json::display(self.powered_s)),
+            ("target_active", json::uint(self.target_active)),
+            ("classes_closed", json::uint(self.classes_closed)),
+            ("classes_quota", json::uint(self.classes_quota)),
+            ("shed_classes", json::uint(self.shed_classes)),
+        ])
+        .render()
     }
 }
 
 /// Fixed-capacity ring of [`WindowSample`]s. Once full, pushing evicts
 /// the oldest sample and counts it in [`TimeSeries::dropped`], so a
 /// long run keeps the most recent `capacity` windows.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimeSeries {
     capacity: usize,
     dropped: u64,
