@@ -45,6 +45,18 @@ struct Args {
     shrink_demo: Option<String>,
 }
 
+/// Parses a count flag's value, exiting with `usage` (status 2) unless
+/// it is an integer of at least 1.
+fn count<T: std::str::FromStr + PartialEq + Default>(value: Option<String>, usage: &str) -> T {
+    match value.and_then(|s| s.parse::<T>().ok()) {
+        Some(n) if n != T::default() => n,
+        _ => {
+            eprintln!("{usage}");
+            std::process::exit(2);
+        }
+    }
+}
+
 fn parse_args() -> Args {
     let mut args = Args {
         smoke: false,
@@ -84,10 +96,7 @@ fn parse_args() -> Args {
                 });
             }
             "--shards" => {
-                args.shards = it.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--shards needs an integer ≥ 1");
-                    std::process::exit(2);
-                });
+                args.shards = count(it.next(), "--shards needs an integer ≥ 1");
             }
             "--file" => {
                 args.file = Some(it.next().unwrap_or_else(|| {
@@ -96,10 +105,7 @@ fn parse_args() -> Args {
                 }));
             }
             "--fuzz" => {
-                args.fuzz = Some(it.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--fuzz needs a scenario count ≥ 1");
-                    std::process::exit(2);
-                }));
+                args.fuzz = Some(count(it.next(), "--fuzz needs a scenario count ≥ 1"));
             }
             "--emit-files" => {
                 args.emit_files = Some(it.next().unwrap_or_else(|| {

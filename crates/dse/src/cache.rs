@@ -60,7 +60,7 @@ impl EvalCache {
     }
 
     /// Stores an externally computed verdict (used by the parallel search
-    /// to fold `par_map` results in).
+    /// to fold `par_map_slice` results in).
     pub fn insert(&mut self, fingerprint: u64, verdict: Option<DesignPoint>) {
         self.map.insert(fingerprint, verdict);
     }

@@ -15,13 +15,15 @@
 //!
 //! ## Consistency model
 //!
-//! The controlled driver runs the **whole-fleet single cell** — the
-//! same engine [`FleetScenario::simulate`] uses, not a sharded plan —
-//! so the controller observes exact fleet-global state at every window
-//! boundary. Under a sharded execution a controller would see
-//! merge-window-granular aggregates instead; no such weaker sharded
-//! feedback contract is defined yet, so control runs only on the
-//! `simulate()` engine.
+//! Control is the boundary hook of the one windowed driver every run
+//! goes through (see [`crate::engine::shard`]). It runs on the
+//! **whole-fleet single cell** with one worker — the same plan
+//! [`FleetScenario::simulate`] runs, not a sharded one — so the hook
+//! gates every arrival in arrival order and observes exact
+//! fleet-global state at every window boundary. Under a sharded
+//! execution a controller would see merge-window-granular aggregates
+//! instead; no such weaker sharded feedback contract is defined yet,
+//! so control runs only on the whole-fleet plan.
 //! Determinism contract: same scenario + same seed + same policy ⇒
 //! bit-identical [`ControlledReport`], and a [`Hold`](policy::Hold)
 //! policy at full initial provision reproduces
@@ -48,13 +50,14 @@ pub mod policy;
 pub(crate) mod actuator;
 
 use crate::engine::core::CellEngine;
-use crate::engine::shard::{ArrivalGen, CellSpec};
-use crate::engine::{merge, FleetScenario, QuoteTable};
+use crate::engine::shard::{Layout, WindowHook};
+use crate::engine::{FleetScenario, QuoteTable};
 use crate::metrics::{FleetReport, LatencyHistogram};
 use crate::telemetry::{
     ControlTelemetry, FleetTrace, NullSink, TimeSeries, TraceConfig, TraceSink, TracingSink,
     WindowSample,
 };
+use crate::workload::Request;
 use crate::{FleetError, Result};
 use actuator::Actuator;
 use observer::Observer;
@@ -260,8 +263,14 @@ impl FleetScenario {
         cfg: &ControlConfig,
         policy: &mut dyn ControlPolicy,
     ) -> Result<ControlledReport> {
-        let (report, _, _) = self.controlled_run(cfg, policy, NullSink, None)?;
-        Ok(report)
+        cfg.validate()?;
+        let run = self.run(
+            self.seed,
+            Layout::WholeFleet,
+            |_| NullSink,
+            |quotes, cells| Controller::new(self, cfg, policy, quotes, &mut cells[0], None),
+        )?;
+        Ok(run.hook.finish(run.report).0)
     }
 
     /// [`simulate_controlled`](Self::simulate_controlled) with the
@@ -281,154 +290,185 @@ impl FleetScenario {
         policy: &mut dyn ControlPolicy,
         tcfg: &TraceConfig,
     ) -> Result<(ControlledReport, ControlTelemetry)> {
-        let sink = TracingSink::new(0, self.classes.len(), tcfg);
-        let (report, sink, timeline) =
-            self.controlled_run(cfg, policy, sink, Some(tcfg.timeline_capacity))?;
-        let mut trace = FleetTrace::from_sinks(vec![sink]);
-        // one cell ledger plus one slot per class folded at assembly
-        trace.profile.merge_folds = 1 + self.classes.len() as u64;
+        cfg.validate()?;
+        let n_classes = self.classes.len();
+        let run = self.run(
+            self.seed,
+            Layout::WholeFleet,
+            |cell| TracingSink::new(cell, n_classes, tcfg),
+            |quotes, cells| {
+                let timeline = Some(TimeSeries::new(tcfg.timeline_capacity));
+                Controller::new(self, cfg, policy, quotes, &mut cells[0], timeline)
+            },
+        )?;
+        let (report, timeline) = run.hook.finish(run.report);
+        let trace = FleetTrace::from_sinks(run.sinks);
         let timeline = timeline.expect("recorder was requested");
         Ok((report, ControlTelemetry { trace, timeline }))
     }
+}
 
-    /// The shared closed-loop driver, generic over the trace sink.
-    /// `timeline_capacity: Some(n)` turns the per-window recorder on.
-    fn controlled_run<S: TraceSink>(
-        &self,
-        cfg: &ControlConfig,
-        policy: &mut dyn ControlPolicy,
-        sink: S,
-        timeline_capacity: Option<usize>,
-    ) -> Result<(ControlledReport, S, Option<TimeSeries>)> {
-        self.validate()?;
-        cfg.validate()?;
-        let quotes = self.quote_table()?;
-        let n = self.instances.len();
+/// The closed loop as the driver's boundary hook: gates each arrival by
+/// its class's [`Admission`], and at every window edge runs reconcile →
+/// observe → plan → shed → apply → record on the whole-fleet cell.
+struct Controller<'c> {
+    cfg: &'c ControlConfig,
+    policy: &'c mut dyn ControlPolicy,
+    view: FleetView,
+    actuator: Actuator,
+    observer: Observer,
+    admission: Vec<Admission>,
+    window_admitted: Vec<u64>,
+    throttled: u64,
+    windows: u64,
+    trace: Vec<WindowTrace>,
+    /// The per-window telemetry recorder (`None` when it is off) and
+    /// its snapshots: per-class histograms and powered time at the
+    /// previous edge.
+    timeline: Option<TimeSeries>,
+    hist_snaps: Vec<LatencyHistogram>,
+    powered_prev: f64,
+}
+
+impl<'c> Controller<'c> {
+    /// Derives the policy's view and parks everything beyond the
+    /// initial provision on the fresh `cell`, before any arrival.
+    fn new<S: TraceSink>(
+        scenario: &FleetScenario,
+        cfg: &'c ControlConfig,
+        policy: &'c mut dyn ControlPolicy,
+        quotes: &QuoteTable,
+        cell: &mut CellEngine<'_, S>,
+        timeline: Option<TimeSeries>,
+    ) -> Controller<'c> {
+        let n = scenario.instances.len();
+        let n_classes = scenario.classes.len();
         let min_active = cfg.min_active.min(n);
         let initial_active = cfg.initial_active.clamp(min_active, n);
-        let view = derive_view(self, &quotes, cfg, min_active);
-        let spec = CellSpec::whole_fleet(self);
-        let mut cell = CellEngine::with_sink(self, &quotes, &spec, sink);
-        let mut actuator = Actuator::new(
-            &mut cell,
-            initial_active,
-            min_active,
-            cfg.max_step,
-            cfg.boot_s,
-        );
-        let mut observer = Observer::new(self);
-        let mut gen = ArrivalGen::new(self, self.seed);
-        let mut admission = vec![Admission::Open; self.classes.len()];
-        let mut window_admitted = vec![0u64; self.classes.len()];
-        let mut throttled = 0u64;
-        let mut windows = 0u64;
-        let mut trace = Vec::new();
-        // telemetry recorder state (None when the recorder is off)
-        let n_classes = self.classes.len();
-        let mut timeline = timeline_capacity.map(TimeSeries::new);
-        let mut hist_snaps = vec![LatencyHistogram::new(); n_classes];
-        let mut powered_prev = 0.0;
-        let mut t1 = cfg.window_s;
-        loop {
-            window_admitted.fill(0);
-            while let Some(req) = gen.next_before(t1) {
-                cell.advance_through(req.arrival_s);
-                let open = match admission[req.class] {
-                    Admission::Open => true,
-                    Admission::Quota(q) => window_admitted[req.class] < q,
-                    Admission::Closed => false,
-                };
-                if open {
-                    window_admitted[req.class] += 1;
-                    cell.admit(req);
-                } else {
-                    throttled += 1;
-                    cell.refuse(&req);
-                }
-            }
-            cell.advance_through(t1);
-            windows += 1;
-            actuator.reconcile(&cell, t1);
-            let obs = observer.observe(&cell, t1, throttled);
-            let action = policy.plan(&obs, &view);
-            debug_assert_eq!(action.admission.len(), self.classes.len());
-            debug_assert_eq!(action.shed_to.len(), self.classes.len());
-            let mut shed_now = 0u64;
-            for (class, keep) in action.shed_to.iter().enumerate() {
-                if let Some(keep) = keep {
-                    shed_now += cell.shed_queue_to(class, *keep, t1);
-                }
-            }
-            admission.clone_from(&action.admission);
-            actuator.apply(&mut cell, action.target_active, t1);
-            if let Some(series) = timeline.as_mut() {
-                let powered_now = actuator.powered_through(t1);
-                let mut class_p50_s = Vec::with_capacity(n_classes);
-                let mut class_p99_s = Vec::with_capacity(n_classes);
-                for (c, snap) in hist_snaps.iter_mut().enumerate() {
-                    let cur = cell.class_hist(c).clone();
-                    let delta = cur.delta_since(snap);
-                    class_p50_s.push(delta.quantile(0.50));
-                    class_p99_s.push(delta.quantile(0.99));
-                    *snap = cur;
-                }
-                let (classes_closed, classes_quota, shed_classes) = action.decision_counts();
-                series.push(WindowSample {
-                    index: obs.index,
-                    t_s: t1,
-                    queue_depth: obs.queue_depth,
-                    utilization: obs.utilization,
-                    arrivals: obs.arrivals,
-                    completed: obs.completed,
-                    shed: shed_now,
-                    throttled: obs.throttled,
-                    health: cell.health_mix(),
-                    class_p50_s,
-                    class_p99_s,
-                    powered_s: powered_now - powered_prev,
-                    target_active: action.target_active,
-                    classes_closed,
-                    classes_quota,
-                    shed_classes,
-                });
-                powered_prev = powered_now;
-            }
-            trace.push(WindowTrace {
-                t_s: t1,
-                active: obs.active,
-                booting: obs.booting,
-                parked: obs.parked,
-                queue_depth: obs.queue_depth,
-                arrivals: obs.arrivals,
-                // sheds land only at boundaries, right after the
-                // observation — this window's row carries its own
-                shed: shed_now,
-                throttled: obs.throttled,
-                p99_s: obs.p99_s,
-                target_active: action.target_active,
-            });
-            if gen.exhausted() {
-                break;
-            }
-            t1 += cfg.window_s;
+        Controller {
+            cfg,
+            policy,
+            view: derive_view(scenario, quotes, cfg, min_active),
+            actuator: Actuator::new(cell, initial_active, min_active, cfg.max_step, cfg.boot_s),
+            observer: Observer::new(scenario),
+            admission: vec![Admission::Open; n_classes],
+            window_admitted: vec![0; n_classes],
+            throttled: 0,
+            windows: 0,
+            trace: Vec::new(),
+            timeline,
+            hist_snaps: vec![LatencyHistogram::new(); n_classes],
+            powered_prev: 0.0,
         }
-        let scale_ups = actuator.scale_ups;
-        let scale_downs = actuator.scale_downs;
-        let (outcome, sink) = cell.finish_with_sink();
-        let report = merge::assemble(self, &[outcome]);
-        let powered_instance_s = actuator.close(report.makespan_s);
-        let power = power_metrics(&report, powered_instance_s, cfg.idle_power_w);
+    }
+
+    /// Closes the power ledger at the run's makespan and assembles the
+    /// controlled report, handing back the recorder.
+    fn finish(self, report: FleetReport) -> (ControlledReport, Option<TimeSeries>) {
+        let scale_ups = self.actuator.scale_ups;
+        let scale_downs = self.actuator.scale_downs;
+        let powered_instance_s = self.actuator.close(report.makespan_s);
+        let power = power_metrics(&report, powered_instance_s, self.cfg.idle_power_w);
         let controlled = ControlledReport {
             report,
-            policy: policy.name().to_owned(),
-            windows,
+            policy: self.policy.name().to_owned(),
+            windows: self.windows,
             scale_ups,
             scale_downs,
-            throttled,
+            throttled: self.throttled,
             power,
-            trace,
+            trace: self.trace,
         };
-        Ok((controlled, sink, timeline))
+        (controlled, self.timeline)
+    }
+}
+
+impl WindowHook for Controller<'_> {
+    fn window_s(&self) -> Option<f64> {
+        Some(self.cfg.window_s)
+    }
+
+    fn arrive<S: TraceSink>(&mut self, cell: &mut CellEngine<'_, S>, req: Request) {
+        cell.advance_through(req.arrival_s);
+        let open = match self.admission[req.class] {
+            Admission::Open => true,
+            Admission::Quota(q) => self.window_admitted[req.class] < q,
+            Admission::Closed => false,
+        };
+        if open {
+            self.window_admitted[req.class] += 1;
+            cell.admit(req);
+        } else {
+            self.throttled += 1;
+            cell.refuse(&req);
+        }
+    }
+
+    fn edge<S: TraceSink>(&mut self, cells: &mut [CellEngine<'_, S>], t1: f64) {
+        let cell = &mut cells[0];
+        cell.advance_through(t1);
+        self.windows += 1;
+        self.actuator.reconcile(cell, t1);
+        let obs = self.observer.observe(cell, t1, self.throttled);
+        let action = self.policy.plan(&obs, &self.view);
+        debug_assert_eq!(action.admission.len(), self.admission.len());
+        debug_assert_eq!(action.shed_to.len(), self.admission.len());
+        let mut shed_now = 0u64;
+        for (class, keep) in action.shed_to.iter().enumerate() {
+            if let Some(keep) = keep {
+                shed_now += cell.shed_queue_to(class, *keep, t1);
+            }
+        }
+        self.admission.clone_from(&action.admission);
+        self.actuator.apply(cell, action.target_active, t1);
+        if let Some(series) = self.timeline.as_mut() {
+            let powered_now = self.actuator.powered_through(t1);
+            let n_classes = self.hist_snaps.len();
+            let mut class_p50_s = Vec::with_capacity(n_classes);
+            let mut class_p99_s = Vec::with_capacity(n_classes);
+            for (c, snap) in self.hist_snaps.iter_mut().enumerate() {
+                let cur = cell.class_hist(c).clone();
+                let delta = cur.delta_since(snap);
+                class_p50_s.push(delta.quantile(0.50));
+                class_p99_s.push(delta.quantile(0.99));
+                *snap = cur;
+            }
+            let (classes_closed, classes_quota, shed_classes) = action.decision_counts();
+            series.push(WindowSample {
+                index: obs.index,
+                t_s: t1,
+                queue_depth: obs.queue_depth,
+                utilization: obs.utilization,
+                arrivals: obs.arrivals,
+                completed: obs.completed,
+                shed: shed_now,
+                throttled: obs.throttled,
+                health: cell.health_mix(),
+                class_p50_s,
+                class_p99_s,
+                powered_s: powered_now - self.powered_prev,
+                target_active: action.target_active,
+                classes_closed,
+                classes_quota,
+                shed_classes,
+            });
+            self.powered_prev = powered_now;
+        }
+        self.trace.push(WindowTrace {
+            t_s: t1,
+            active: obs.active,
+            booting: obs.booting,
+            parked: obs.parked,
+            queue_depth: obs.queue_depth,
+            arrivals: obs.arrivals,
+            // sheds land only at boundaries, right after the
+            // observation — this window's row carries its own
+            shed: shed_now,
+            throttled: obs.throttled,
+            p99_s: obs.p99_s,
+            target_active: action.target_active,
+        });
+        self.window_admitted.fill(0);
     }
 }
 

@@ -2,14 +2,13 @@
 //!
 //! [`CellEngine`] is the engine that used to live behind `simulate()` as
 //! a single closed loop, refactored into a **resumable** unit so the
-//! same code drives both execution shapes:
+//! same code serves both plan shapes, both fed by the one windowed
+//! driver in [`shard`](super::shard):
 //!
-//! * the whole-fleet engine — one cell owning every class and instance,
-//!   fed arrivals straight off the streaming sampler (this is exactly
-//!   the pre-shard engine, event for event); and
+//! * the whole-fleet cell — one cell owning every class and instance
+//!   (this is exactly the pre-shard engine, event for event); and
 //! * a shard cell — one slice of the class/instance partition
-//!   ([`CellSpec`](super::shard)), fed its classes' arrivals by the
-//!   shard driver in conservative time windows.
+//!   ([`CellSpec`](super::shard)), fed its classes' arrivals.
 //!
 //! The caller contract is a three-step protocol: for each arriving
 //! request, [`CellEngine::advance_through`] the arrival instant (which
@@ -363,14 +362,6 @@ pub(crate) struct CellEngine<'a, S: TraceSink = NullSink> {
     min_accuracy: Vec<f64>,
     /// Where lifecycle events and profile counts go (ZST when disabled).
     sink: S,
-}
-
-impl<'a> CellEngine<'a> {
-    /// An untraced cell — the default engine every existing entry point
-    /// uses.
-    pub(crate) fn new(scenario: &'a FleetScenario, quotes: &QuoteTable, spec: &CellSpec) -> Self {
-        CellEngine::with_sink(scenario, quotes, spec, NullSink)
-    }
 }
 
 impl<'a, S: TraceSink> CellEngine<'a, S> {

@@ -15,24 +15,27 @@
 //!   size (the binary heaps it replaces were O(log n)), cancellation by
 //!   epoch token, and pop order *exactly* equal to the heaps' — so the
 //!   swap changes no simulation result.
-//! * [`shard`] — the scale-out layer: a deterministic [`ShardPlan`]
-//!   partitions classes and instances into up to
-//!   [`ShardPlan::MAX_CELLS`] (1024) independent leaf cells,
-//!   one arrival generator replays the exact whole-fleet stream and
-//!   routes each request to the cell owning its class, and worker
-//!   threads advance cells in conservative time windows over bounded
-//!   channels. Same seed ⇒ bit-identical report at every shard and
-//!   thread count.
+//! * [`shard`] — the scale-out layer and the one driver: a
+//!   deterministic [`ShardPlan`] partitions classes and instances into
+//!   up to [`ShardPlan::MAX_CELLS`] (1024) independent cells, and one
+//!   windowed driver runs every entry point. It replays the exact
+//!   whole-fleet arrival stream, routes each request to the cell owning
+//!   its class, and flushes per-cell buffers inline (one worker) or
+//!   over bounded channels (cell `i` on worker `i % workers`). At each
+//!   window edge it calls a boundary hook; closed-loop control is that
+//!   hook. Same seed ⇒ bit-identical report at every shard and thread
+//!   count.
 //! * `merge` *(private module)* — folds per-cell outcomes into one
 //!   [`FleetReport`] in canonical (cell-index, class-index) order,
 //!   which is what makes the merged report independent of scheduling.
 //!
-//! [`FleetScenario::simulate`] runs the whole fleet as **one** cell —
-//! the pre-shard engine, event for event — and remains the reference
-//! semantics (global placement, global admission bound).
-//! [`FleetScenario::simulate_sharded`] trades global placement for
-//! within-run parallelism and O(cell)-sized dispatch scans; on a
-//! single-class (or single-instance) scenario the two coincide exactly.
+//! [`FleetScenario::simulate`] runs the one-cell whole-fleet plan
+//! through that driver — the pre-shard engine, event for event — and
+//! remains the reference semantics (global placement, global admission
+//! bound). [`FleetScenario::simulate_sharded`] runs the scenario's
+//! [`ShardPlan`] instead, trading global placement for within-run
+//! parallelism and O(cell)-sized dispatch scans; on a single-class (or
+//! single-instance) scenario the two coincide exactly.
 //!
 //! ## Dispatch (per cell)
 //!
@@ -52,12 +55,13 @@ pub(crate) mod merge;
 pub mod shard;
 pub mod wheel;
 
-pub use shard::{PlanShape, ShardPlan};
+pub use shard::ShardPlan;
 pub use wheel::{EventTime, TimingWheel};
 
 use crate::faults::FaultTimeline;
 use crate::metrics::FleetReport;
 use crate::scheduler::Policy;
+use crate::telemetry::NullSink;
 use crate::workload::{ArrivalProcess, NetworkClass};
 use crate::{FleetError, Result};
 use pcnna_core::config::PcnnaConfig;
@@ -65,8 +69,7 @@ use pcnna_core::power::PowerAssumptions;
 use pcnna_core::serving::{service_quote, QuoteRequest, ServiceQuote};
 use pcnna_photonics::degradation::DegradationLimits;
 
-use self::core::CellEngine;
-use self::shard::CellSpec;
+use self::shard::{Layout, OpenLoop};
 
 /// A complete serving experiment description.
 #[derive(Debug, Clone, PartialEq)]
@@ -252,25 +255,9 @@ impl FleetScenario {
     ///
     /// Returns scenario-validation or core quoting failures.
     pub fn simulate(&self) -> Result<FleetReport> {
-        self.simulate_seeded(self.seed)
-    }
-
-    /// [`simulate`](Self::simulate) with the scenario's seed overridden —
-    /// seed replication runs many seeds of one scenario, and this entry
-    /// point spares it a deep clone of the classes and instances per
-    /// replica.
-    ///
-    /// # Errors
-    ///
-    /// As [`simulate`](Self::simulate).
-    pub fn simulate_seeded(&self, seed: u64) -> Result<FleetReport> {
-        self.validate()?;
-        let quotes = self.quote_table()?;
-        let spec = CellSpec::whole_fleet(self);
-        let cell = CellEngine::new(self, &quotes, &spec);
-        let class_to_cell = vec![0usize; self.classes.len()];
-        let outcomes = shard::run_serial(self, seed, vec![cell], &class_to_cell);
-        Ok(merge::assemble(self, &outcomes))
+        Ok(self
+            .run(self.seed, Layout::WholeFleet, |_| NullSink, |_, _| OpenLoop)?
+            .report)
     }
 }
 

@@ -32,39 +32,50 @@
 //! its class. The generated stream is therefore identical at any shard
 //! count — a cell sees precisely the sub-stream of its classes.
 //!
-//! ## The conservative time-window barrier
+//! ## One driver
 //!
-//! In the parallel path the generator runs on the calling thread and
-//! ships arrivals to worker threads in **time windows** over bounded
-//! channels. The window is derived from the fastest quote in the fleet
-//! (the minimum per-frame service time — the lookahead floor: nothing
-//! observable happens on a finer scale), with a coarse floor of
-//! 1/64 horizon so short runs still pipeline. Because the partition
+//! Every run goes through one windowed driver: `simulate()` (the
+//! one-cell whole-fleet plan), the sharded runs, seed replicas and
+//! closed-loop control. The driver steps the generator over window
+//! edges and buffers each arrival for the cell owning its class. A
+//! cell's buffer is flushed when it holds `ARRIVAL_CHUNK` requests
+//! and at every window edge. With one worker the calling thread owns
+//! every cell and delivers a flush inline. With more, cell `i` lives
+//! on worker `i % workers`, and flushes travel that worker's bounded
+//! channel, so the generator runs at most a few batches ahead of the
+//! slowest worker. At each edge the driver calls a boundary hook. The
+//! open-loop hook does nothing there; closed-loop control
+//! ([`crate::control`]) is the hook that observes and acts, on the
+//! whole-fleet cell with one worker.
+//!
+//! Open-loop runs derive the window from the fastest quote in the
+//! fleet (the minimum per-frame service time — the lookahead floor:
+//! nothing observable happens on a finer scale), with a coarse floor
+//! of 1/64 horizon so short runs still pipeline. Because the partition
 //! leaves no cross-cell events, any window length yields the same
 //! result — the window's job is to bound how far the generator may run
-//! ahead of the slowest shard (backpressure caps in-flight arrivals at
-//! a few windows) and to keep generation overlapped with simulation.
-//! Cross-shard causality is enforced by construction: failover and
-//! affinity routing both happen inside a cell, which owns every
-//! instance its classes may touch.
+//! ahead of the slowest worker and to keep generation overlapped with
+//! simulation. Cross-shard causality is enforced by construction:
+//! failover and affinity routing both happen inside a cell, which owns
+//! every instance its classes may touch.
 //!
 //! ## What sharding changes — honestly
 //!
 //! The partitioned fleet is a *different serving system* from the
-//! single-shard engine: a class is placed only within its cell's
+//! whole-fleet plan: a class is placed only within its cell's
 //! instances (placement loses the other cells' hardware), and admission
 //! bounds are per-cell slices of the global bound. What every other
 //! shard/thread count must reproduce bit-for-bit is therefore the same
-//! plan run on one worker (`shards = 1`) — not the whole-fleet
-//! `simulate()`. For a scenario with one class (or one instance) the
-//! plan degenerates to a single cell and `simulate_sharded` coincides
-//! with `simulate()` exactly.
+//! plan run on one worker — not the whole-fleet `simulate()`. For a
+//! scenario with one class (or one instance) the plan degenerates to a
+//! single cell and `simulate_sharded` coincides with `simulate()`
+//! exactly.
 
 use super::core::{CellEngine, CellOutcome};
 use super::merge;
 use super::{FleetScenario, QuoteTable};
 use crate::metrics::FleetReport;
-use crate::telemetry::{FleetTrace, NullSink, TraceConfig, TraceSink, TracingSink};
+use crate::telemetry::{FleetTrace, NullSink, ProfileOp, TraceConfig, TraceSink, TracingSink};
 use crate::workload::{ArrivalSampler, ClassSampler, Request};
 use crate::Result;
 use rand::rngs::StdRng;
@@ -84,113 +95,32 @@ pub(crate) struct CellSpec {
     pub queue_capacity: usize,
 }
 
-impl CellSpec {
-    /// The degenerate single-cell spec: the whole fleet. This is what
-    /// `simulate()` runs — the pre-shard engine, event for event.
-    pub(crate) fn whole_fleet(scenario: &FleetScenario) -> CellSpec {
-        CellSpec {
-            classes: (0..scenario.classes.len()).collect(),
-            instances: 0..scenario.instances.len(),
-            queue_capacity: scenario.queue_capacity,
-        }
-    }
-}
-
-/// Execution shape of a hierarchical (two-level) shard plan.
-///
-/// The **partition** into leaf cells is always the same pure function
-/// of the scenario; the shape only decides how contiguous runs of
-/// leaves are grouped into the scheduling units workers execute — a
-/// plan tree whose root fans out to groups and whose groups fan out to
-/// today's cells. Grouping is therefore *pure scheduling*: every shape
-/// yields the bit-identical [`FleetReport`]
-/// (leaf outcomes always merge in leaf-index order), it only moves
-/// wall-clock between workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PlanShape {
-    /// Leaf cells per scheduling group (must be ≥ 1). `1` is the flat
-    /// plan: every leaf is its own group — exactly the pre-hierarchy
-    /// engine.
-    pub group_width: usize,
-}
-
-impl PlanShape {
-    /// The flat (single-level) shape: one leaf per group.
-    pub const FLAT: PlanShape = PlanShape { group_width: 1 };
-}
-
-impl Default for PlanShape {
-    fn default() -> Self {
-        PlanShape::FLAT
-    }
-}
-
 /// The deterministic partition of a scenario into shard cells (module
 /// docs describe the scheme and the determinism contract).
 #[derive(Debug, Clone)]
 pub struct ShardPlan {
     pub(crate) cells: Vec<CellSpec>,
     pub(crate) class_to_cell: Vec<usize>,
-    /// Scheduling groups: each entry is a contiguous range of leaf-cell
-    /// indices executed as one unit. Flat plans have one leaf per
-    /// group.
-    pub(crate) groups: Vec<Range<usize>>,
 }
 
 impl ShardPlan {
-    /// Upper bound on the number of leaf cells a plan creates. The
-    /// actual count is `min(classes, instances, MAX_CELLS)` — a cell
-    /// must own at least one class and one instance to be a simulation
-    /// at all. (The flat engine capped this at 32; grouping lets the
-    /// leaf count scale while workers schedule whole groups.)
+    /// Upper bound on the number of cells a plan creates. The actual
+    /// count is `min(classes, instances, MAX_CELLS)` — a cell must own
+    /// at least one class and one instance to be a simulation at all.
     pub const MAX_CELLS: usize = 1024;
 
-    /// Builds the flat plan for `scenario`, using `quotes` (when
-    /// available) to size instance slices by service demand rather than
-    /// raw request share. Pure function of the scenario — deliberately
+    /// Builds the plan for `scenario`, using `quotes` (when available)
+    /// to size instance slices by service demand rather than raw
+    /// request share. Pure function of the scenario — deliberately
     /// blind to shard and thread counts.
     #[must_use]
     pub fn new(scenario: &FleetScenario, quotes: Option<&QuoteTable>) -> ShardPlan {
-        ShardPlan::try_new(scenario, quotes, PlanShape::FLAT)
-            .expect("the flat shape is always valid")
-    }
-
-    /// Builds a hierarchical plan with the given [`PlanShape`],
-    /// validating the shape first (the error names the offending
-    /// parameter). The leaf partition is identical for every shape;
-    /// only the grouping differs.
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::InvalidPlanShape`](crate::FleetError::InvalidPlanShape) when `group_width` is zero.
-    pub fn try_new(
-        scenario: &FleetScenario,
-        quotes: Option<&QuoteTable>,
-        shape: PlanShape,
-    ) -> crate::Result<ShardPlan> {
-        if shape.group_width == 0 {
-            return Err(crate::FleetError::InvalidPlanShape {
-                parameter: "group_width",
-                reason: "must be at least 1 (a scheduling group cannot be empty)".to_string(),
-            });
-        }
-        let mut plan = ShardPlan::flat_partition(scenario, quotes);
-        plan.groups = group_leaves(plan.cells.len(), shape.group_width);
-        Ok(plan)
-    }
-
-    /// The leaf partition (always flat-grouped; `try_new` regroups).
-    fn flat_partition(scenario: &FleetScenario, quotes: Option<&QuoteTable>) -> ShardPlan {
         let n_c = scenario.classes.len();
         let n_i = scenario.instances.len();
         if n_c == 0 || n_i == 0 {
             // Degenerate (invalid) scenarios still get a well-formed
             // single-cell plan; validation rejects them before any run.
-            return ShardPlan {
-                cells: vec![CellSpec::whole_fleet(scenario)],
-                class_to_cell: vec![0; n_c],
-                groups: group_leaves(1, 1),
-            };
+            return ShardPlan::whole_fleet(scenario);
         }
         let l = n_c.min(n_i).min(Self::MAX_CELLS);
         let mut cell_classes: Vec<Vec<usize>> = vec![Vec::new(); l];
@@ -268,28 +198,29 @@ impl ShardPlan {
             })
             .collect();
         ShardPlan {
-            groups: group_leaves(l, 1),
             cells,
             class_to_cell,
         }
     }
 
-    /// Number of leaf cells in the plan.
+    /// The one-cell plan: every class and instance in one cell, with
+    /// the global admission bound. This is what `simulate()` and
+    /// closed-loop control run.
+    pub(crate) fn whole_fleet(scenario: &FleetScenario) -> ShardPlan {
+        ShardPlan {
+            cells: vec![CellSpec {
+                classes: (0..scenario.classes.len()).collect(),
+                instances: 0..scenario.instances.len(),
+                queue_capacity: scenario.queue_capacity,
+            }],
+            class_to_cell: vec![0; scenario.classes.len()],
+        }
+    }
+
+    /// Number of cells in the plan.
     #[must_use]
     pub fn n_cells(&self) -> usize {
         self.cells.len()
-    }
-
-    /// Number of scheduling groups (= cells for a flat plan).
-    #[must_use]
-    pub fn n_groups(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// The contiguous leaf-cell range of scheduling group `group`.
-    #[must_use]
-    pub fn group_cells(&self, group: usize) -> Range<usize> {
-        self.groups[group].clone()
     }
 
     /// Global class indices owned by `cell`.
@@ -309,14 +240,6 @@ impl ShardPlan {
     pub fn cell_of_class(&self, class: usize) -> usize {
         self.class_to_cell[class]
     }
-}
-
-/// Chunks `n_leaves` leaf cells into contiguous groups of `width`
-/// (the last group takes the remainder).
-fn group_leaves(n_leaves: usize, width: usize) -> Vec<Range<usize>> {
-    (0..n_leaves.div_ceil(width))
-        .map(|g| g * width..((g + 1) * width).min(n_leaves))
-        .collect()
 }
 
 /// Largest-remainder apportionment of `total` items over `shares`
@@ -429,13 +352,13 @@ impl Iterator for ArrivalGen {
 
 /// How many arrival batches the generator may run ahead of the slowest
 /// worker (the bounded-channel depth): the conservative lookahead
-/// barrier. A batch is at most [`ARRIVAL_CHUNK`] requests, so this also
+/// barrier. A batch is at most `ARRIVAL_CHUNK` requests, so this also
 /// bounds buffered-arrival memory per worker.
 const BATCHES_IN_FLIGHT: usize = 4;
 
-/// Mid-window flush threshold: a cell's arrival buffer is shipped to
-/// its worker as soon as it holds this many requests, so buffered
-/// arrivals stay bounded however long (in requests) a window is.
+/// Mid-window flush threshold: a cell's arrival buffer is delivered as
+/// soon as it holds this many requests, so buffered arrivals stay
+/// bounded however long (in requests) a window is.
 const ARRIVAL_CHUNK: usize = 65536;
 
 /// Cap on the *expected* request count of one generation window. With
@@ -452,6 +375,53 @@ const MIN_WINDOWS: f64 = 64.0;
 /// requests of that cell, in arrival order)`.
 type WindowBatch = Vec<(usize, Vec<Request>)>;
 
+/// Which plan a run executes, and on how many workers.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Layout {
+    /// The one-cell whole-fleet plan, on the calling thread.
+    WholeFleet,
+    /// The scenario's [`ShardPlan`] on up to `workers` threads.
+    Sharded { workers: usize },
+}
+
+/// What one run hands back: the merged report, each cell's sink in
+/// cell-index order, and the boundary hook.
+pub(crate) struct Run<S, H> {
+    pub report: FleetReport,
+    pub sinks: Vec<S>,
+    pub hook: H,
+}
+
+/// The driver's boundary hook: what happens to each arrival a
+/// one-worker run delivers, and at each window edge. The defaults are
+/// the open loop — admit everything, do nothing at edges.
+///
+/// Worker threads always deliver open-loop, so a hook that overrides
+/// `arrive` or `edge` must run the whole-fleet plan, whose single cell
+/// always runs inline.
+pub(crate) trait WindowHook {
+    /// The window length, seconds; `None` takes the open-loop window
+    /// derived from the fleet's fastest quote.
+    fn window_s(&self) -> Option<f64> {
+        None
+    }
+
+    /// Delivers one arrival to the cell owning its class.
+    fn arrive<S: TraceSink>(&mut self, cell: &mut CellEngine<'_, S>, req: Request) {
+        cell.advance_through(req.arrival_s);
+        cell.admit(req);
+    }
+
+    /// Runs at window edge `t_edge`, once every arrival before it has
+    /// been delivered.
+    fn edge<S: TraceSink>(&mut self, _cells: &mut [CellEngine<'_, S>], _t_edge: f64) {}
+}
+
+/// The open-loop hook.
+pub(crate) struct OpenLoop;
+
+impl WindowHook for OpenLoop {}
+
 impl FleetScenario {
     /// The deterministic shard partition of this scenario (see
     /// [`ShardPlan`]) — demand-aware when the scenario quotes cleanly,
@@ -467,56 +437,20 @@ impl FleetScenario {
     ///
     /// **Determinism contract:** same seed ⇒ bit-identical report for
     /// every `(shards, threads)` combination, including the same plan
-    /// run on one worker (`shards = 1`); see the module docs for how the
-    /// partitioned fleet differs semantically from
+    /// run on one worker; see the module docs for how the partitioned
+    /// fleet differs semantically from
     /// [`simulate`](FleetScenario::simulate).
     ///
     /// # Errors
     ///
     /// Returns scenario-validation or core quoting failures.
     pub fn simulate_sharded(&self, shards: usize, threads: usize) -> Result<FleetReport> {
-        self.simulate_sharded_seeded(self.seed, shards, threads)
-    }
-
-    /// [`simulate_sharded`](Self::simulate_sharded) with an explicit
-    /// hierarchical [`PlanShape`]: leaves are grouped into scheduling
-    /// units of `shape.group_width` cells and workers execute whole
-    /// groups. The report is bit-identical to the flat shape (and to
-    /// the same plan run on one worker) — the shape moves wall-clock,
-    /// never results.
-    ///
-    /// # Errors
-    ///
-    /// As [`simulate_sharded`](Self::simulate_sharded), plus
-    /// [`crate::FleetError::InvalidPlanShape`] for a zero
-    /// `group_width`.
-    pub fn simulate_sharded_shaped(
-        &self,
-        shards: usize,
-        threads: usize,
-        shape: PlanShape,
-    ) -> Result<FleetReport> {
-        let pairs = self.sharded_outcomes(self.seed, shards, threads, shape, |_| NullSink)?;
-        let outcomes: Vec<CellOutcome> = pairs.into_iter().map(|(o, _)| o).collect();
-        Ok(merge::assemble(self, &outcomes))
-    }
-
-    /// [`simulate_sharded`](Self::simulate_sharded) with the seed
-    /// overridden — the entry point seed replication uses, sparing a
-    /// scenario deep-copy per replica.
-    ///
-    /// # Errors
-    ///
-    /// As [`simulate_sharded`](Self::simulate_sharded).
-    pub fn simulate_sharded_seeded(
-        &self,
-        seed: u64,
-        shards: usize,
-        threads: usize,
-    ) -> Result<FleetReport> {
-        let pairs = self.sharded_outcomes(seed, shards, threads, PlanShape::FLAT, |_| NullSink)?;
-        let outcomes: Vec<CellOutcome> = pairs.into_iter().map(|(o, _)| o).collect();
-        Ok(merge::assemble(self, &outcomes))
+        let layout = Layout::Sharded {
+            workers: shards.min(threads),
+        };
+        Ok(self
+            .run(self.seed, layout, |_| NullSink, |_, _| OpenLoop)?
+            .report)
     }
 
     /// [`simulate_sharded`](Self::simulate_sharded) with the telemetry
@@ -540,61 +474,76 @@ impl FleetScenario {
         threads: usize,
         cfg: &TraceConfig,
     ) -> Result<(FleetReport, FleetTrace)> {
+        let layout = Layout::Sharded {
+            workers: shards.min(threads),
+        };
         let n_classes = self.classes.len();
-        let pairs = self.sharded_outcomes(self.seed, shards, threads, PlanShape::FLAT, |cell| {
-            TracingSink::new(cell, n_classes, cfg)
-        })?;
-        let (outcomes, sinks): (Vec<CellOutcome>, Vec<TracingSink>) = pairs.into_iter().unzip();
-        let report = merge::assemble(self, &outcomes);
-        let mut trace = FleetTrace::from_sinks(sinks);
-        // assemble() folds one ledger per cell and one slot per class
-        trace.profile.merge_folds = outcomes.len() as u64 + n_classes as u64;
-        Ok((report, trace))
+        let run = self.run(
+            self.seed,
+            layout,
+            |cell| TracingSink::new(cell, n_classes, cfg),
+            |_, _| OpenLoop,
+        )?;
+        Ok((run.report, FleetTrace::from_sinks(run.sinks)))
     }
 
-    /// The shared sharded driver: builds the plan's cells (each with
-    /// the sink `make_sink(cell_index)` returns), runs them serially or
-    /// windowed across workers, and returns `(outcome, sink)` pairs in
-    /// cell-index order.
-    fn sharded_outcomes<S: TraceSink + Send>(
+    /// The whole run, for every entry point: validates, quotes, builds
+    /// the layout's plan and its cells (cell `i` records into
+    /// `make_sink(i)`), builds the hook from the quotes and the fresh
+    /// cells, drives the arrival stream of `seed` through them, and
+    /// merges the outcomes in cell-index order.
+    pub(crate) fn run<S, H>(
         &self,
         seed: u64,
-        shards: usize,
-        threads: usize,
-        shape: PlanShape,
+        layout: Layout,
         mut make_sink: impl FnMut(usize) -> S,
-    ) -> Result<Vec<(CellOutcome, S)>> {
+        make_hook: impl FnOnce(&QuoteTable, &mut [CellEngine<'_, S>]) -> H,
+    ) -> Result<Run<S, H>>
+    where
+        S: TraceSink + Send,
+        H: WindowHook,
+    {
         self.validate()?;
         let quotes = self.quote_table()?;
-        let plan = ShardPlan::try_new(self, Some(&quotes), shape)?;
-        let cells: Vec<CellEngine<'_, S>> = plan
+        let (plan, workers) = match layout {
+            Layout::WholeFleet => (ShardPlan::whole_fleet(self), 1),
+            Layout::Sharded { workers } => (ShardPlan::new(self, Some(&quotes)), workers),
+        };
+        let mut cells: Vec<CellEngine<'_, S>> = plan
             .cells
             .iter()
             .enumerate()
             .map(|(i, spec)| CellEngine::with_sink(self, &quotes, spec, make_sink(i)))
             .collect();
-        let workers = shards.max(1).min(threads.max(1)).min(plan.n_groups());
-        Ok(if workers <= 1 {
-            run_serial_sinks(self, seed, cells, &plan.class_to_cell)
-        } else {
-            let window_s = window_len(self, &quotes);
-            run_windowed(
-                self,
-                seed,
-                cells,
-                &plan.class_to_cell,
-                &plan.groups,
-                workers,
-                window_s,
-            )
+        let mut hook = make_hook(&quotes, &mut cells);
+        let window_s = hook.window_s().unwrap_or_else(|| window_len(self, &quotes));
+        let workers = workers.clamp(1, cells.len());
+        let finished = drive(
+            self,
+            seed,
+            cells,
+            &plan.class_to_cell,
+            workers,
+            window_s,
+            &mut hook,
+        );
+        let (outcomes, mut sinks): (Vec<CellOutcome>, Vec<S>) = finished.into_iter().unzip();
+        for (outcome, sink) in outcomes.iter().zip(&mut sinks) {
+            // assemble() folds this cell's ledger and one slot per class
+            sink.count(ProfileOp::MergeFold, 1 + outcome.classes.len() as u64);
+        }
+        Ok(Run {
+            report: merge::assemble(self, &outcomes),
+            sinks,
+            hook,
         })
     }
 }
 
-/// The generation window: the fleet's fastest per-frame quote is the
-/// lookahead floor (nothing observable happens on a finer scale), with
-/// a coarse floor of 1/[`MIN_WINDOWS`] horizon so short runs still
-/// pipeline across workers.
+/// The open-loop generation window: the fleet's fastest per-frame
+/// quote is the lookahead floor (nothing observable happens on a finer
+/// scale), with a coarse floor of 1/[`MIN_WINDOWS`] horizon so short
+/// runs still pipeline across workers.
 fn window_len(scenario: &FleetScenario, quotes: &QuoteTable) -> f64 {
     let lookahead = quotes.min_per_frame_s();
     let floor = scenario.horizon_s / MIN_WINDOWS;
@@ -614,188 +563,186 @@ fn window_len(scenario: &FleetScenario, quotes: &QuoteTable) -> f64 {
     }
 }
 
-/// Everything on the calling thread: stream arrivals straight into the
-/// owning cells (no buffering at all), then drain each cell in order.
-/// This is the path of the same plan run on one worker — and also what
-/// `simulate()` runs with a single whole-fleet cell.
-pub(crate) fn run_serial<S: TraceSink>(
-    scenario: &FleetScenario,
-    seed: u64,
-    cells: Vec<CellEngine<'_, S>>,
-    class_to_cell: &[usize],
-) -> Vec<CellOutcome> {
-    run_serial_sinks(scenario, seed, cells, class_to_cell)
-        .into_iter()
-        .map(|(outcome, _)| outcome)
-        .collect()
-}
-
-/// [`run_serial`] keeping each cell's sink paired with its outcome.
-fn run_serial_sinks<S: TraceSink>(
-    scenario: &FleetScenario,
-    seed: u64,
-    mut cells: Vec<CellEngine<'_, S>>,
-    class_to_cell: &[usize],
-) -> Vec<(CellOutcome, S)> {
-    let mut gen = ArrivalGen::new(scenario, seed);
-    if cells.len() <= 1 {
-        while let Some(req) = gen.next() {
-            let cell = &mut cells[class_to_cell[req.class]];
-            cell.advance_through(req.arrival_s);
-            cell.admit(req);
-        }
-    } else {
-        // Chunked per-cell batching, still on one thread: cells are
-        // independent, so draining one cell's chunk while others buffer
-        // is a pure reordering of independent work — same outcomes,
-        // much better cache locality than per-arrival cell interleave.
-        // Memory stays bounded by cells × chunk, never the horizon.
-        let mut bufs: Vec<Vec<Request>> = cells
-            .iter()
-            .map(|_| Vec::with_capacity(ARRIVAL_CHUNK))
-            .collect();
-        while let Some(req) = gen.next() {
-            let c = class_to_cell[req.class];
-            bufs[c].push(req);
-            if bufs[c].len() >= ARRIVAL_CHUNK {
-                let cell = &mut cells[c];
-                for req in bufs[c].drain(..) {
-                    cell.advance_through(req.arrival_s);
-                    cell.admit(req);
-                }
-            }
-        }
-        for (c, buf) in bufs.iter_mut().enumerate() {
-            let cell = &mut cells[c];
-            for req in buf.drain(..) {
-                cell.advance_through(req.arrival_s);
-                cell.admit(req);
-            }
-        }
-    }
-    cells
-        .into_iter()
-        .map(CellEngine::finish_with_sink)
-        .collect()
-}
-
-/// The parallel path: the calling thread streams arrivals (the
-/// [`ArrivalGen`] iterator — nothing is ever materialized per run) and
-/// ships per-cell batches to `workers` threads over bounded channels.
-/// Scheduling **groups** of leaf cells are dealt round-robin to
-/// workers — the hierarchical plan's execution level — and a cell's
-/// buffer is flushed mid-window whenever it fills a chunk, so driver
-/// memory is bounded by chunks and channel depth, not by the horizon's
-/// request count. Each worker advances its cells through its batches in
-/// arrival order and drains them when the stream closes. Outcomes are
-/// re-ordered by leaf index before merging, so the report is
-/// independent of scheduling.
-fn run_windowed<'a, S: TraceSink + Send>(
+/// The one driver (module docs): streams the arrivals of `seed` into
+/// `cells` in windows of `window_s`, on `workers` threads, and returns
+/// each cell's `(outcome, sink)` in cell-index order. With one worker
+/// every flush goes through `hook`; with more, worker `w` owns cells
+/// `w, w + workers, …` and delivers open-loop.
+fn drive<'a, S: TraceSink + Send, H: WindowHook>(
     scenario: &'a FleetScenario,
     seed: u64,
     cells: Vec<CellEngine<'a, S>>,
     class_to_cell: &[usize],
-    groups: &[Range<usize>],
     workers: usize,
     window_s: f64,
+    hook: &mut H,
 ) -> Vec<(CellOutcome, S)> {
     let n_cells = cells.len();
-    // Deal whole groups to workers; a worker owns every leaf of its
-    // groups.
-    let mut cell_worker = vec![0usize; n_cells];
-    for (g, leaves) in groups.iter().enumerate() {
-        for c in leaves.clone() {
-            cell_worker[c] = g % workers;
-        }
+    if workers <= 1 {
+        let mut inline = Inline { cells, hook };
+        feed(
+            scenario,
+            seed,
+            class_to_cell,
+            n_cells,
+            window_s,
+            &mut inline,
+        );
+        return inline
+            .cells
+            .into_iter()
+            .map(CellEngine::finish_with_sink)
+            .collect();
     }
-    let mut worker_cells: Vec<Vec<(usize, CellEngine<'a, S>)>> =
-        (0..workers).map(|_| Vec::new()).collect();
+    let mut owned: Vec<Vec<CellEngine<'a, S>>> = (0..workers).map(|_| Vec::new()).collect();
     for (i, cell) in cells.into_iter().enumerate() {
-        worker_cells[cell_worker[i]].push((i, cell));
+        owned[i % workers].push(cell);
     }
-
-    let mut outcomes: Vec<Option<(CellOutcome, S)>> = (0..n_cells).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let mut senders: Vec<mpsc::SyncSender<WindowBatch>> = Vec::with_capacity(workers);
+    let finished: Vec<Vec<(CellOutcome, S)>> = std::thread::scope(|scope| {
+        let mut senders = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
-        for owned in worker_cells {
+        for mut mine in owned {
             let (tx, rx) = mpsc::sync_channel::<WindowBatch>(BATCHES_IN_FLIGHT);
             senders.push(tx);
             handles.push(scope.spawn(move || {
-                let mut owned = owned;
                 for batch in rx {
-                    for (cell_idx, reqs) in batch {
-                        let (_, cell) = owned
-                            .iter_mut()
-                            .find(|(i, _)| *i == cell_idx)
-                            .expect("batch routed to the worker owning its cell");
+                    for (i, reqs) in batch {
+                        // cell i is this worker's (i / workers)-th
+                        let cell = &mut mine[i / workers];
                         for req in reqs {
-                            cell.advance_through(req.arrival_s);
-                            cell.admit(req);
+                            OpenLoop.arrive(cell, req);
                         }
                     }
                 }
-                owned
-                    .into_iter()
-                    .map(|(i, cell)| (i, cell.finish_with_sink()))
+                mine.into_iter()
+                    .map(CellEngine::finish_with_sink)
                     .collect::<Vec<_>>()
             }));
         }
-
-        let mut gen = ArrivalGen::new(scenario, seed);
-        let mut bufs: Vec<Vec<Request>> = (0..n_cells).map(|_| Vec::new()).collect();
-        let mut t_edge = window_s;
-        loop {
-            while let Some(req) = gen.next_before(t_edge) {
-                let cell = class_to_cell[req.class];
-                let buf = &mut bufs[cell];
-                buf.push(req);
-                if buf.len() >= ARRIVAL_CHUNK {
-                    // Mid-window flush: keep the worker fed and the
-                    // buffer bounded. Per-cell arrival order is
-                    // preserved — batches travel the cell's one channel
-                    // in generation order.
-                    let reqs = std::mem::replace(buf, Vec::with_capacity(ARRIVAL_CHUNK));
-                    senders[cell_worker[cell]]
-                        .send(vec![(cell, reqs)])
-                        .expect("worker outlives the generator");
-                }
-            }
-            for (w, tx) in senders.iter().enumerate() {
-                let mut batch: WindowBatch = Vec::new();
-                for i in 0..n_cells {
-                    if cell_worker[i] == w && !bufs[i].is_empty() {
-                        let hint = bufs[i].len().min(ARRIVAL_CHUNK);
-                        batch.push((i, std::mem::replace(&mut bufs[i], Vec::with_capacity(hint))));
-                    }
-                }
-                if !batch.is_empty() {
-                    tx.send(batch).expect("worker outlives the generator");
-                }
-            }
-            if gen.exhausted() {
-                break;
-            }
-            t_edge += window_s;
-        }
-        drop(senders); // close the channels: workers drain and finish
-        for handle in handles {
-            for (i, outcome) in handle.join().expect("shard worker panicked") {
-                outcomes[i] = Some(outcome);
-            }
-        }
+        // dropping the delivery closes the channels: workers drain and finish
+        feed(
+            scenario,
+            seed,
+            class_to_cell,
+            n_cells,
+            window_s,
+            &mut ToWorkers { senders },
+        );
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("shard worker panicked"))
+            .collect()
     });
-    outcomes
-        .into_iter()
-        .map(|o| o.expect("every cell reports exactly once"))
+    // worker w finished cells w, w + workers, … in that order
+    let mut per_worker: Vec<_> = finished.into_iter().map(Vec::into_iter).collect();
+    (0..n_cells)
+        .map(|i| {
+            per_worker[i % workers]
+                .next()
+                .expect("every cell reports exactly once")
+        })
         .collect()
+}
+
+/// The driver loop: generates the arrival stream of `seed`, buffers each
+/// arrival for its cell, flushes a buffer at `ARRIVAL_CHUNK` requests,
+/// and hands every buffer over at each window edge.
+fn feed(
+    scenario: &FleetScenario,
+    seed: u64,
+    class_to_cell: &[usize],
+    n_cells: usize,
+    window_s: f64,
+    out: &mut impl Deliver,
+) {
+    let mut gen = ArrivalGen::new(scenario, seed);
+    let mut bufs: Vec<Vec<Request>> = (0..n_cells).map(|_| Vec::new()).collect();
+    let mut t_edge = window_s;
+    loop {
+        while let Some(req) = gen.next_before(t_edge) {
+            let cell = class_to_cell[req.class];
+            bufs[cell].push(req);
+            if bufs[cell].len() >= ARRIVAL_CHUNK {
+                out.chunk(cell, &mut bufs[cell]);
+            }
+        }
+        out.edge(&mut bufs, t_edge);
+        if gen.exhausted() {
+            break;
+        }
+        t_edge += window_s;
+    }
+}
+
+/// Where the driver loop's flushed buffers go. Either way a cell's
+/// requests arrive in generation order.
+trait Deliver {
+    /// Cell `cell`'s buffer filled up mid-window.
+    fn chunk(&mut self, cell: usize, buf: &mut Vec<Request>);
+
+    /// Window edge `t_edge`: every cell's buffer.
+    fn edge(&mut self, bufs: &mut [Vec<Request>], t_edge: f64);
+}
+
+/// One worker: the calling thread owns every cell and delivers through
+/// the hook.
+struct Inline<'h, 'a, S: TraceSink, H> {
+    cells: Vec<CellEngine<'a, S>>,
+    hook: &'h mut H,
+}
+
+impl<S: TraceSink, H: WindowHook> Deliver for Inline<'_, '_, S, H> {
+    fn chunk(&mut self, cell: usize, buf: &mut Vec<Request>) {
+        let cell = &mut self.cells[cell];
+        for req in buf.drain(..) {
+            self.hook.arrive(cell, req);
+        }
+    }
+
+    fn edge(&mut self, bufs: &mut [Vec<Request>], t_edge: f64) {
+        for (cell, buf) in bufs.iter_mut().enumerate() {
+            self.chunk(cell, buf);
+        }
+        self.hook.edge(&mut self.cells, t_edge);
+    }
+}
+
+/// Several workers: cell `i`'s buffers travel worker `i % workers`'s
+/// channel — a chunk on its own, a window edge as one batch per worker.
+struct ToWorkers {
+    senders: Vec<mpsc::SyncSender<WindowBatch>>,
+}
+
+impl Deliver for ToWorkers {
+    fn chunk(&mut self, cell: usize, buf: &mut Vec<Request>) {
+        let reqs = std::mem::replace(buf, Vec::with_capacity(ARRIVAL_CHUNK));
+        self.senders[cell % self.senders.len()]
+            .send(vec![(cell, reqs)])
+            .expect("worker outlives the generator");
+    }
+
+    fn edge(&mut self, bufs: &mut [Vec<Request>], _t_edge: f64) {
+        let workers = self.senders.len();
+        for (w, tx) in self.senders.iter().enumerate() {
+            let mut batch: WindowBatch = Vec::new();
+            for i in (w..bufs.len()).step_by(workers) {
+                if !bufs[i].is_empty() {
+                    let hint = bufs[i].len().min(ARRIVAL_CHUNK);
+                    batch.push((i, std::mem::replace(&mut bufs[i], Vec::with_capacity(hint))));
+                }
+            }
+            if !batch.is_empty() {
+                tx.send(batch).expect("worker outlives the generator");
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::{chaos_timeline, ChaosConfig, ChaosKind};
     use crate::workload::{ArrivalProcess, NetworkClass};
-    use crate::FleetError;
     use pcnna_core::PcnnaConfig;
 
     fn scenario(n_classes: usize, n_instances: usize) -> FleetScenario {
@@ -813,36 +760,13 @@ mod tests {
     }
 
     #[test]
-    fn zero_group_width_is_rejected_and_names_the_parameter() {
-        let s = scenario(4, 8);
-        let err = ShardPlan::try_new(&s, None, PlanShape { group_width: 0 })
-            .expect_err("a zero-width group cannot schedule anything");
-        match err {
-            FleetError::InvalidPlanShape { parameter, .. } => {
-                assert_eq!(parameter, "group_width");
-            }
-            other => panic!("wrong error variant: {other}"),
-        }
-        // and the message points at the knob by name
-        let s2 = scenario(4, 8);
-        let msg = ShardPlan::try_new(&s2, None, PlanShape { group_width: 0 })
-            .unwrap_err()
-            .to_string();
-        assert!(msg.contains("group_width"), "{msg}");
-    }
-
-    #[test]
     fn degenerate_single_cell_plan() {
-        // One class ⇒ one cell owning the whole fleet, one group.
+        // One class ⇒ one cell owning the whole fleet.
         let s = scenario(1, 8);
         let plan = ShardPlan::new(&s, None);
         assert_eq!(plan.cells.len(), 1);
-        assert_eq!(plan.n_groups(), 1);
         assert_eq!(plan.cells[0].instances, 0..8);
         assert_eq!(plan.cells[0].queue_capacity, s.queue_capacity);
-        // any group width still yields the one group
-        let wide = ShardPlan::try_new(&s, None, PlanShape { group_width: 64 }).unwrap();
-        assert_eq!(wide.n_groups(), 1);
     }
 
     #[test]
@@ -882,24 +806,6 @@ mod tests {
     }
 
     #[test]
-    fn grouping_tiles_leaves_contiguously() {
-        let s = scenario(16, 64);
-        for width in [1usize, 2, 4, 5, 8, 16, 100] {
-            let plan = ShardPlan::try_new(&s, None, PlanShape { group_width: width }).unwrap();
-            let n_leaves = plan.cells.len();
-            assert_eq!(plan.n_groups(), n_leaves.div_ceil(width));
-            let mut next = 0;
-            for g in 0..plan.n_groups() {
-                let leaves = plan.group_cells(g);
-                assert_eq!(leaves.start, next);
-                assert!(leaves.len() <= width);
-                next = leaves.end;
-            }
-            assert_eq!(next, n_leaves);
-        }
-    }
-
-    #[test]
     fn streaming_iterator_matches_windowed_stepping() {
         // The streaming contract: driving ArrivalGen through
         // `next_before` window edges (what the sharded driver does)
@@ -932,19 +838,61 @@ mod tests {
         }
     }
 
+    /// A hook that only fixes the window length.
+    struct Window(f64);
+
+    impl WindowHook for Window {
+        fn window_s(&self) -> Option<f64> {
+            Some(self.0)
+        }
+    }
+
     #[test]
-    fn every_plan_shape_reproduces_the_flat_report() {
-        // Grouping is pure scheduling: the report is bit-identical for
-        // every shape at every worker count.
-        let s = scenario(8, 24);
-        let oracle = s.simulate_sharded(1, 1).unwrap();
-        assert!(oracle.completed > 0);
-        for width in [1usize, 2, 4, 8] {
-            for threads in [1usize, 4] {
-                let r = s
-                    .simulate_sharded_shaped(8, threads, PlanShape { group_width: width })
-                    .unwrap();
-                assert_eq!(oracle, r, "width {width} threads {threads}");
+    fn window_length_does_not_change_the_result() {
+        // The driver's window is pacing, not semantics: a multi-class
+        // plan under a chaos fault timeline must produce the same report
+        // and byte-identical trace JSONL for a tiny window, the
+        // open-loop window and one window spanning the horizon, on one
+        // worker and on three.
+        let base = scenario(6, 12);
+        let s = FleetScenario {
+            faults: chaos_timeline(
+                ChaosKind::ChannelLossBurst,
+                &base.instances,
+                base.horizon_s,
+                &ChaosConfig::default(),
+            ),
+            ..base
+        };
+        let quotes = s.quote_table().unwrap();
+        let tcfg = TraceConfig::default();
+        let traced = |window_s: f64, workers: usize| {
+            let run = s
+                .run(
+                    s.seed,
+                    Layout::Sharded { workers },
+                    |cell| TracingSink::new(cell, s.classes.len(), &tcfg),
+                    |_, _| Window(window_s),
+                )
+                .unwrap();
+            (run.report, FleetTrace::from_sinks(run.sinks).render_jsonl())
+        };
+        let open_loop = window_len(&s, &quotes);
+        let (report, jsonl) = traced(open_loop, 1);
+        assert!(s.shard_plan().n_cells() >= 3);
+        assert!(report.completed > 0);
+        assert!(
+            report.resilience.fault_events > 0,
+            "the chaos timeline fires"
+        );
+        for window_s in [1e-5, open_loop, s.horizon_s] {
+            for workers in [1, 3] {
+                let (r, j) = traced(window_s, workers);
+                assert_eq!(report, r, "window {window_s} workers {workers}");
+                assert!(
+                    jsonl == j,
+                    "trace differs: window {window_s} workers {workers}"
+                );
             }
         }
     }

@@ -325,8 +325,9 @@ proptest! {
         // be a pure function of the seed list regardless of how many
         // worker threads the map runs on.
         let seeds: Vec<u64> = (0..6).map(|k| s.seed ^ (k * 7919)).collect();
-        let serial = par::par_map_slice(&seeds, 1, |seed| s.simulate_seeded(seed).unwrap());
-        let wide = par::par_map_slice(&seeds, 8, |seed| s.simulate_seeded(seed).unwrap());
+        let run = |seed| FleetScenario { seed, ..s.clone() }.simulate().unwrap();
+        let serial = par::par_map_slice(&seeds, 1, run);
+        let wide = par::par_map_slice(&seeds, 8, run);
         for (a, b) in serial.iter().zip(&wide) {
             prop_assert_eq!(a, b, "thread count changed a replica's metrics");
         }
@@ -437,14 +438,13 @@ proptest! {
     }
 
     #[test]
-    fn hierarchical_plan_shapes_are_bit_identical_across_threads(
+    fn chaos_plans_are_bit_identical_across_threads(
         seed in 0u64..1_000,
     ) {
-        // The hierarchical extension of the determinism contract: the
-        // partition into leaf cells never depends on the plan shape, so
-        // grouping leaves into wider scheduling units — flat (1 leaf
-        // per group), 2-wide, 4-wide — must reproduce the shards = 1
-        // oracle bit for bit at every thread count, chaos included.
+        // The partition into cells never depends on the worker count,
+        // so eight shards on one thread and on eight threads must
+        // reproduce the same plan run on one worker bit for bit, chaos
+        // included.
         let base = chaos_base(seed);
         let cfg = ChaosConfig { seed, ..ChaosConfig::default() };
         for kind in ChaosKind::ALL {
@@ -454,16 +454,12 @@ proptest! {
             };
             let oracle = scenario.simulate_sharded(1, 1).unwrap();
             prop_assert!(oracle.completed > 0, "{kind:?}");
-            for group_width in [1usize, 2, 4] {
-                let shape = PlanShape { group_width };
-                for threads in [1usize, 8] {
-                    let r = scenario.simulate_sharded_shaped(8, threads, shape).unwrap();
-                    prop_assert_eq!(
-                        &oracle, &r,
-                        "{:?} diverged at group_width={} threads={}",
-                        kind, group_width, threads
-                    );
-                }
+            for threads in [1usize, 8] {
+                let r = scenario.simulate_sharded(8, threads).unwrap();
+                prop_assert_eq!(
+                    &oracle, &r,
+                    "{:?} diverged at threads={}", kind, threads
+                );
             }
         }
     }
@@ -491,7 +487,9 @@ proptest! {
         prop_assert_eq!(&a, &b, "replication must reproduce");
         // and each replica equals its direct sharded run
         for (report, &s) in a.iter().zip(&seeds) {
-            let direct = scenario.simulate_sharded_seeded(s, 1, 1).unwrap();
+            let direct = FleetScenario { seed: s, ..scenario.clone() }
+                .simulate_sharded(1, 1)
+                .unwrap();
             prop_assert_eq!(report, &direct);
         }
     }
@@ -520,10 +518,9 @@ fn mega_scenario(n_instances: usize) -> FleetScenario {
 }
 
 #[test]
-fn mega_fleets_are_bit_identical_across_workers_and_plan_shapes() {
-    // At 10k and 100k instances the 16-cell plan run on one worker, on
-    // eight workers with the flat plan, and on eight workers with four
-    // leaves per scheduling group must produce the same report.
+fn mega_fleets_are_bit_identical_across_workers() {
+    // At 10k and 100k instances the 16-cell plan must produce the same
+    // report on one worker and on eight.
     for n_instances in [10_000, 100_000] {
         let scenario = mega_scenario(n_instances);
         let one_worker = scenario.simulate_sharded(1, 1).unwrap();
@@ -531,14 +528,7 @@ fn mega_fleets_are_bit_identical_across_workers_and_plan_shapes() {
         assert_eq!(
             one_worker,
             scenario.simulate_sharded(8, 8).unwrap(),
-            "{n_instances} instances: flat plan on 8 workers diverged"
-        );
-        assert_eq!(
-            one_worker,
-            scenario
-                .simulate_sharded_shaped(8, 8, PlanShape { group_width: 4 })
-                .unwrap(),
-            "{n_instances} instances: group width 4 on 8 workers diverged"
+            "{n_instances} instances: 8 workers diverged"
         );
     }
 }
