@@ -13,7 +13,8 @@
 //! (shards, threads) ∈ {1, 4} × {1, 8} plus a re-run, and writes the
 //! wall-clock-free `BENCH_accuracy.json` artifact.
 
-use pcnna_bench::report::{assert_books, write_artifact};
+use pcnna_bench::cli;
+use pcnna_bench::report::{assert_books, simulate_invariant, write_artifact};
 use pcnna_cnn::workload::Workload;
 use pcnna_cnn::zoo;
 use pcnna_core::config::PcnnaConfig;
@@ -70,23 +71,6 @@ fn qos_scenario(kind: ChaosKind, accuracy_routing: bool, seed: u64) -> FleetScen
     }
 }
 
-/// Runs one leg across the (shards, threads) identity grid plus a
-/// re-run and asserts every report is bit-identical.
-fn run_identical(scenario: &FleetScenario, label: &str) -> FleetReport {
-    let oracle = scenario.simulate_sharded(1, 1).expect("scenario is valid");
-    for (shards, threads) in [(1, 8), (4, 1), (4, 8), (1, 1)] {
-        let report = scenario
-            .simulate_sharded(shards, threads)
-            .expect("scenario is valid");
-        assert_eq!(
-            report, oracle,
-            "{label}: shards={shards} threads={threads} must reproduce the \
-             same plan run on one worker bit-for-bit"
-        );
-    }
-    oracle
-}
-
 fn qos_record(kind: ChaosKind, routing: bool, report: &FleetReport) -> Json {
     json::obj([
         ("name", json::str(kind.name())),
@@ -123,7 +107,7 @@ fn run_serving(seed: u64) {
         for (i, routing) in [false, true].into_iter().enumerate() {
             let scenario = qos_scenario(kind, routing, seed);
             let label = format!("{} routing={routing}", kind.name());
-            let report = run_identical(&scenario, &label);
+            let report = simulate_invariant(&scenario, &[(1, 8), (4, 1), (4, 8), (1, 1)], &label);
             assert_books(&report, &label);
             assert_eq!(
                 report.completed,
@@ -174,16 +158,10 @@ fn main() {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--serving" => serving = true,
-            "--seed" => {
-                seed = it.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--seed needs an integer");
-                    std::process::exit(2);
-                });
-            }
-            other => {
-                eprintln!("unknown flag {other:?} (known: --serving, --seed <n>)");
-                std::process::exit(2);
-            }
+            "--seed" => seed = cli::seed(it.next()),
+            other => cli::usage(&format!(
+                "unknown flag {other:?} (known: --serving, --seed <n>)"
+            )),
         }
     }
     if serving {

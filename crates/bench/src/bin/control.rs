@@ -18,8 +18,10 @@
 //! the whole-fleet single cell `simulate()` runs — see the `control`
 //! module docs for the consistency model).
 
-use pcnna_bench::report::{assert_books, chaos_config, serving_classes, write_artifact};
-use pcnna_core::PcnnaConfig;
+use pcnna_bench::cli;
+use pcnna_bench::report::{
+    assert_books, chaos_faults, control_config, diurnal_spec, write_artifact,
+};
 use pcnna_fleet::prelude::*;
 use pcnna_fleet::scenario::json::{self, Json};
 use std::time::Instant;
@@ -41,48 +43,16 @@ fn parse_args() -> Args {
         match a.as_str() {
             "--smoke" => args.smoke = true,
             "--check" => args.check = true,
-            "--seed" => {
-                args.seed = it.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--seed needs an integer");
-                    std::process::exit(2);
-                });
-            }
-            other => {
-                eprintln!("unknown flag {other:?} (known: --smoke, --check, --seed <n>)");
-                std::process::exit(2);
-            }
+            "--seed" => args.seed = cli::seed(it.next()),
+            other => cli::usage(&format!(
+                "unknown flag {other:?} (known: --smoke, --check, --seed <n>)"
+            )),
         }
     }
     args
 }
 
-/// The served mix: the scenarios-bin fleet with a 10:1 diurnal swing
-/// (and an MMPP twin), sized so the peak needs most of the fleet while
-/// the trough leaves most of it idle — the regime autoscaling exists
-/// for.
-fn base_scenario(smoke: bool, seed: u64) -> FleetScenario {
-    let (fleet, peak_rps, horizon_s, period_s) = if smoke {
-        (6, 60_000.0, 0.08, 0.08)
-    } else {
-        (8, 90_000.0, 0.4, 0.2)
-    };
-    FleetScenario {
-        classes: serving_classes(),
-        arrival: ArrivalProcess::Diurnal {
-            base_rps: 0.1 * peak_rps,
-            peak_rps,
-            period_s,
-        },
-        policy: Policy::NetworkAffinity,
-        instances: vec![PcnnaConfig::default(); fleet],
-        max_batch: 32,
-        queue_capacity: 100_000,
-        horizon_s,
-        seed,
-        ..FleetScenario::default()
-    }
-}
-
+/// The MMPP twin of the diurnal swing: bursts at the same peak rate.
 fn mmpp_arrival(smoke: bool) -> ArrivalProcess {
     let peak_rps = if smoke { 60_000.0 } else { 90_000.0 };
     ArrivalProcess::Mmpp {
@@ -90,17 +60,6 @@ fn mmpp_arrival(smoke: bool) -> ArrivalProcess {
         high_rps: peak_rps,
         dwell_low_s: if smoke { 0.02 } else { 0.06 },
         dwell_high_s: if smoke { 0.01 } else { 0.03 },
-    }
-}
-
-fn control_config() -> ControlConfig {
-    ControlConfig {
-        window_s: 0.002,
-        boot_s: 0.004,
-        min_active: 1,
-        initial_active: usize::MAX,
-        max_step: 4,
-        idle_power_w: 2.0,
     }
 }
 
@@ -200,7 +159,9 @@ fn controlled_row(
 /// One full measurement pass: every row, in a fixed order, as the
 /// final JSON payload. Runs twice for the byte-identity assert.
 fn measure(args: &Args) -> (String, Vec<Row>) {
-    let base = base_scenario(args.smoke, args.seed);
+    let diurnal = diurnal_spec(args.smoke, args.seed);
+    let compile = |spec: ScenarioSpec| spec.compile().expect("bench spec compiles").scenario;
+    let base = compile(diurnal.clone());
     let cfg = control_config();
 
     // Hold-equals-simulate oracle: a non-acting controller at full
@@ -214,10 +175,10 @@ fn measure(args: &Args) -> (String, Vec<Row>) {
         "Hold at full provision must reproduce simulate() exactly"
     );
 
-    let mmpp = FleetScenario {
+    let mmpp = compile(ScenarioSpec {
         arrival: mmpp_arrival(args.smoke),
-        ..base.clone()
-    };
+        ..diurnal.clone()
+    });
     let mut rows = Vec::new();
     for (name, scenario) in [("diurnal", &base), ("mmpp", &mmpp)] {
         rows.push(open_loop_row(name, scenario, &cfg));
@@ -237,13 +198,12 @@ fn measure(args: &Args) -> (String, Vec<Row>) {
 
     // Chaos × control: the four named degradation scenarios on the
     // diurnal workload, uncontrolled vs reactive.
-    let chaos_cfg = chaos_config(args.smoke, args.seed);
     let mut chaos_rows = Vec::new();
     for kind in ChaosKind::ALL {
-        let scenario = FleetScenario {
-            faults: chaos_timeline(kind, &base.instances, base.horizon_s, &chaos_cfg),
-            ..base.clone()
-        };
+        let scenario = compile(ScenarioSpec {
+            faults: chaos_faults(kind, args.smoke, args.seed),
+            ..diurnal.clone()
+        });
         chaos_rows.push((kind.name(), open_loop_row("diurnal", &scenario, &cfg)));
         chaos_rows.push((
             kind.name(),

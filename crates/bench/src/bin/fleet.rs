@@ -10,8 +10,8 @@ use pcnna_core::PcnnaConfig;
 use pcnna_fleet::metrics::mean_std;
 use pcnna_fleet::prelude::*;
 
-fn base_scenario() -> FleetScenario {
-    FleetScenario {
+fn main() {
+    let base = FleetScenario {
         classes: vec![
             NetworkClass::alexnet(0.004, 1.0),
             NetworkClass::lenet5(0.0005, 3.0),
@@ -21,10 +21,7 @@ fn base_scenario() -> FleetScenario {
         horizon_s: 2.0,
         seed: 42,
         ..FleetScenario::default()
-    }
-}
-
-fn main() {
+    };
     let arrivals: [(&str, ArrivalProcess); 3] = [
         ("poisson", ArrivalProcess::Poisson { rate_rps: 40_000.0 }),
         (
@@ -61,7 +58,7 @@ fn main() {
             let r = FleetScenario {
                 arrival,
                 policy,
-                ..base_scenario()
+                ..base.clone()
             }
             .simulate()
             .expect("scenario is valid");
@@ -89,7 +86,7 @@ fn main() {
         let r = FleetScenario {
             arrival: ArrivalProcess::Poisson { rate_rps: rate },
             policy: Policy::NetworkAffinity,
-            ..base_scenario()
+            ..base.clone()
         }
         .simulate()
         .expect("scenario is valid");
@@ -114,7 +111,7 @@ fn main() {
             dwell_high_s: 0.1,
         },
         policy: Policy::NetworkAffinity,
-        ..base_scenario()
+        ..base.clone()
     };
     let seeds: Vec<u64> = (0..8).collect();
     let reports = par::simulate_replicated(&scenario, &seeds).expect("replicas run");

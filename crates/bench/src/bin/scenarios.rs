@@ -14,22 +14,22 @@
 //! and fail the run), and `--emit-files <dir>` regenerates the
 //! canonical committed scenario files under `scenarios/`.
 //!
-//! Every report is produced by the **sharded engine** and asserted
-//! bit-identical against the same plan run on one worker (twice) — the
-//! two-layer determinism contract CI relies on: same seed ⇒ same
-//! report, at any shard count. The emitted artifacts deliberately
-//! carry **no wall-clock measurements**, so two runs of the same
-//! invocation — *at any `--shards` value* — produce byte-identical
-//! files (the acceptance check `diff`s them across shard counts and
-//! re-runs). In smoke mode at the default seed, each matrix leg is
-//! additionally re-run from its committed `scenarios/<name>.json` file
-//! and the resulting record asserted byte-identical to the hard-coded
-//! generator's — the DSL-equivalence proof of ISSUE 8.
+//! Every workload is a `ScenarioSpec` (`pcnna_bench::report`) compiled
+//! here; the matrix legs and `--file` run through one leg runner. Each
+//! report is produced by the **sharded engine** and asserted
+//! bit-identical against the same plan run on one worker, and against a
+//! re-run — the two-layer determinism contract CI relies on: same seed
+//! ⇒ same report, at any shard count. The emitted artifacts
+//! deliberately carry **no wall-clock measurements**, so two runs of the
+//! same invocation — *at any `--shards` value* — produce byte-identical
+//! files (CI `diff`s them across shard counts and re-runs). In smoke mode at the default seed, each committed
+//! `scenarios/<name>.json` file is additionally asserted equal to its
+//! leg's spec.
 
+use pcnna_bench::cli;
 use pcnna_bench::report::{
-    assert_books, chaos_config, matrix_spec, serving_classes, write_artifact,
+    assert_books, chaos_spec, committed_specs, simulate_invariant, write_artifact,
 };
-use pcnna_core::PcnnaConfig;
 use pcnna_fleet::prelude::*;
 use pcnna_fleet::scenario::json::{self, Json};
 use std::time::Instant;
@@ -43,18 +43,6 @@ struct Args {
     fuzz: Option<u64>,
     emit_files: Option<String>,
     shrink_demo: Option<String>,
-}
-
-/// Parses a count flag's value, exiting with `usage` (status 2) unless
-/// it is an integer of at least 1.
-fn count<T: std::str::FromStr + PartialEq + Default>(value: Option<String>, usage: &str) -> T {
-    match value.and_then(|s| s.parse::<T>().ok()) {
-        Some(n) if n != T::default() => n,
-        _ => {
-            eprintln!("{usage}");
-            std::process::exit(2);
-        }
-    }
 }
 
 fn parse_args() -> Args {
@@ -72,86 +60,34 @@ fn parse_args() -> Args {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--smoke" => args.smoke = true,
-            "--scenario" => {
-                let name = it.next().unwrap_or_default();
-                match ChaosKind::from_name(&name) {
-                    Some(kind) => args.only = Some(kind),
-                    None => {
-                        eprintln!(
-                            "unknown scenario {name:?}; known: {}",
-                            ChaosKind::ALL
-                                .iter()
-                                .map(|k| k.name())
-                                .collect::<Vec<_>>()
-                                .join(", ")
-                        );
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--seed" => {
-                args.seed = it.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--seed needs an integer");
-                    std::process::exit(2);
-                });
-            }
-            "--shards" => {
-                args.shards = count(it.next(), "--shards needs an integer ≥ 1");
-            }
+            "--scenario" => args.only = Some(cli::chaos_kind(it.next())),
+            "--seed" => args.seed = cli::seed(it.next()),
+            "--shards" => args.shards = cli::count(it.next(), "--shards needs an integer ≥ 1"),
             "--file" => {
-                args.file = Some(it.next().unwrap_or_else(|| {
-                    eprintln!("--file needs a path to a scenario JSON file");
-                    std::process::exit(2);
-                }));
+                let usage = "--file needs a path to a scenario JSON file";
+                args.file = it.next().or_else(|| cli::usage(usage));
             }
             "--fuzz" => {
-                args.fuzz = Some(count(it.next(), "--fuzz needs a scenario count ≥ 1"));
+                args.fuzz = Some(cli::count(it.next(), "--fuzz needs a scenario count ≥ 1"));
             }
             "--emit-files" => {
-                args.emit_files = Some(it.next().unwrap_or_else(|| {
-                    eprintln!("--emit-files needs a directory");
-                    std::process::exit(2);
-                }));
+                args.emit_files = it
+                    .next()
+                    .or_else(|| cli::usage("--emit-files needs a directory"));
             }
             "--shrink-demo" => {
-                args.shrink_demo = Some(it.next().unwrap_or_else(|| {
-                    eprintln!("--shrink-demo needs a directory");
-                    std::process::exit(2);
-                }));
+                args.shrink_demo = it
+                    .next()
+                    .or_else(|| cli::usage("--shrink-demo needs a directory"));
             }
-            other => {
-                eprintln!(
-                    "unknown flag {other:?} (known: --smoke, --scenario <name>, \
-                     --seed <n>, --shards <n>, --file <path>, --fuzz <n>, \
-                     --emit-files <dir>, --shrink-demo <dir>)"
-                );
-                std::process::exit(2);
-            }
+            other => cli::usage(&format!(
+                "unknown flag {other:?} (known: --smoke, --scenario <name>, \
+                 --seed <n>, --shards <n>, --file <path>, --fuzz <n>, \
+                 --emit-files <dir>, --shrink-demo <dir>)"
+            )),
         }
     }
     args
-}
-
-/// The serving workload every scenario runs against: a mixed
-/// AlexNet/LeNet fleet under tight SLOs, loaded to where degradation
-/// visibly moves the needle without saturating the healthy baseline.
-fn base_scenario(smoke: bool, seed: u64) -> FleetScenario {
-    let (fleet, rate_rps, horizon_s) = if smoke {
-        (4, 45_000.0, 0.05)
-    } else {
-        (6, 90_000.0, 0.5)
-    };
-    FleetScenario {
-        classes: serving_classes(),
-        arrival: ArrivalProcess::Poisson { rate_rps },
-        policy: Policy::NetworkAffinity,
-        instances: vec![PcnnaConfig::default(); fleet],
-        max_batch: 32,
-        queue_capacity: 100_000,
-        horizon_s,
-        seed,
-        ..FleetScenario::default()
-    }
 }
 
 /// One deterministic JSON record of a chaos run (no wall-clock fields).
@@ -195,62 +131,42 @@ fn write_scenarios(mode: &str, scenario: &FleetScenario, records: Vec<Json>) {
     write_artifact("BENCH_scenarios.json", &(artifact.render() + "\n"));
 }
 
-/// Simulates at the requested shard count and asserts the shards=1
-/// oracle reproduces it bit-for-bit.
-fn run_checked(scenario: &FleetScenario, shards: usize, label: &str) -> FleetReport {
-    let report = scenario
-        .simulate_sharded(shards, shards)
-        .expect("scenario is valid");
-    let oracle = scenario.simulate_sharded(1, 1).expect("scenario is valid");
-    assert_eq!(
-        report, oracle,
-        "{label}: shards={shards} must reproduce the same plan run on one worker bit-for-bit"
-    );
+/// The leg runner: simulates `scenario` at `shards` workers, asserts
+/// the one-worker report reproduces it, as does a re-run, and that the
+/// books balance.
+fn run_leg(scenario: &FleetScenario, shards: usize, label: &str) -> FleetReport {
+    let report = simulate_invariant(scenario, &[(shards, shards), (shards, shards)], label);
+    assert_books(&report, label);
     report
 }
 
-/// The committed demo scenario the `fault_tolerance` example loads: the
-/// smoke fleet under a longer heat wave with a 5 ms re-lock window.
-fn demo_spec() -> ScenarioSpec {
-    ScenarioSpec {
-        name: "heat-wave-demo".to_owned(),
-        horizon_s: 0.25,
-        faults: FaultSpec::Chaos {
-            kind: ChaosKind::HeatWave,
-            recalibration_s: 5e-3,
-            seed: 7,
-        },
-        ..matrix_spec(ChaosKind::HeatWave, true, 7)
+/// `scenario` with its fault timeline removed — the baseline a leg's
+/// record is compared against.
+fn fault_free(scenario: &FleetScenario) -> FleetScenario {
+    FleetScenario {
+        faults: FaultTimeline::new(),
+        ..scenario.clone()
     }
 }
 
 /// Regenerates the canonical committed scenario files.
 fn emit_files(dir: &str) {
     std::fs::create_dir_all(dir).expect("create scenario dir");
-    for kind in ChaosKind::ALL {
-        let spec = matrix_spec(kind, true, 7);
-        let path = format!("{dir}/{}.json", kind.name());
+    for spec in committed_specs() {
+        let path = format!("{dir}/{}.json", spec.name);
         std::fs::write(&path, spec.render()).expect("write scenario file");
         println!("wrote {path}");
     }
-    let demo = demo_spec();
-    let path = format!("{dir}/{}.json", demo.name);
-    std::fs::write(&path, demo.render()).expect("write scenario file");
-    println!("wrote {path}");
 }
 
 /// Runs one declarative scenario file: open loop against a fault-free
 /// baseline (plus the controlled run when the file closes the loop),
 /// with the same determinism asserts as the matrix.
 fn run_file(path: &str, shards: usize) {
-    let spec = ScenarioSpec::load(path).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
-    let compiled = spec.compile().unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
+    let spec = ScenarioSpec::load(path).unwrap_or_else(|e| cli::usage(&e.to_string()));
+    let compiled = spec
+        .compile()
+        .unwrap_or_else(|e| cli::usage(&e.to_string()));
     let scenario = &compiled.scenario;
     println!(
         "scenario file {}: {} class(es), {} instance(s), {:.0} req/s mean for {} ms, \
@@ -262,13 +178,8 @@ fn run_file(path: &str, shards: usize) {
         (1e3 * scenario.horizon_s) as u64,
         scenario.faults.len(),
     );
-    let baseline_scenario = FleetScenario {
-        faults: FaultTimeline::new(),
-        ..scenario.clone()
-    };
-    let baseline = run_checked(&baseline_scenario, shards, "baseline");
-    let report = run_checked(scenario, shards, &spec.name);
-    assert_books(&report, &spec.name);
+    let baseline = run_leg(&fault_free(scenario), shards, "baseline");
+    let report = run_leg(scenario, shards, &spec.name);
     let r = &report.resilience;
     println!(
         "  SLO {:.2}% (baseline {:.2}%)  p99 {:.3} ms  availability {:.2}%  \
@@ -458,16 +369,20 @@ fn main() {
         return;
     }
     let t0 = Instant::now();
-    let base = base_scenario(args.smoke, args.seed);
-    let chaos_cfg = chaos_config(args.smoke, args.seed);
-    let kinds: Vec<ChaosKind> = match args.only {
-        Some(k) => vec![k],
-        None => ChaosKind::ALL.to_vec(),
-    };
+    let kinds = args.only.map_or(ChaosKind::ALL.to_vec(), |kind| vec![kind]);
+    let legs: Vec<(ScenarioSpec, FleetScenario)> = kinds
+        .into_iter()
+        .map(|kind| {
+            let spec = chaos_spec(kind, args.smoke, args.seed);
+            let scenario = spec.compile().expect("chaos spec compiles").scenario;
+            (spec, scenario)
+        })
+        .collect();
+    let base = fault_free(&legs[0].1);
     println!(
         "chaos matrix: {} scenario(s) × {} instances, {:.0} req/s for {} ms \
          (seed {}, {} mode, {} shard(s))",
-        kinds.len(),
+        legs.len(),
         base.instances.len(),
         base.arrival.mean_rate_rps(),
         (1e3 * base.horizon_s) as u64,
@@ -476,7 +391,7 @@ fn main() {
         args.shards,
     );
 
-    let baseline = run_checked(&base, args.shards, "baseline");
+    let baseline = run_leg(&base, args.shards, "baseline");
     println!(
         "baseline (no faults): SLO {:.2}%  p99 {:.3} ms  {:.3} mJ/req  availability 100.00%",
         100.0 * baseline.slo_attainment,
@@ -498,32 +413,17 @@ fn main() {
         "mJ/req"
     );
 
-    // The committed scenario files encode the smoke matrix at seed 7;
-    // under that invocation each leg is re-run from its file and must
-    // byte-match the hard-coded generator's record.
+    // The committed scenario files are the smoke matrix at seed 7;
+    // under that invocation each must still equal its leg's spec.
     let check_files = args.smoke && args.seed == 7;
     let mut records = Vec::new();
-    for kind in kinds {
-        let scenario = FleetScenario {
-            faults: chaos_timeline(kind, &base.instances, base.horizon_s, &chaos_cfg),
-            ..base.clone()
-        };
-        let report = run_checked(&scenario, args.shards, kind.name());
-        // Cross-run determinism: a fresh simulation of the same seed
-        // (the oracle comparison already happened inside `run_checked`).
-        let again = scenario
-            .simulate_sharded(args.shards, args.shards)
-            .expect("scenario is valid");
-        assert_eq!(
-            report,
-            again,
-            "{}: two runs of the same seed must produce identical reports",
-            kind.name()
-        );
+    for (spec, scenario) in &legs {
+        let name = spec.name.as_str();
+        let report = run_leg(scenario, args.shards, name);
         let r = &report.resilience;
         println!(
             "  {:<22} {:>7.2} {:>+7.2} {:>8.2} {:>8.3} {:>7} {:>7} {:>7} {:>9} {:>9.3}",
-            kind.name(),
+            name,
             100.0 * report.slo_attainment,
             100.0 * (report.slo_attainment - baseline.slo_attainment),
             100.0 * r.availability,
@@ -534,47 +434,16 @@ fn main() {
             r.unserved,
             1e3 * report.energy_per_request_j,
         );
-        assert_books(&report, kind.name());
-        let record = record_for(kind.name(), &report, &baseline);
         if check_files {
-            let path = format!(
-                "{}/../../scenarios/{}.json",
-                env!("CARGO_MANIFEST_DIR"),
-                kind.name()
-            );
-            let spec = ScenarioSpec::load(&path).expect("committed scenario file");
+            let path = format!("{}/../../scenarios/{name}.json", env!("CARGO_MANIFEST_DIR"));
+            let committed = ScenarioSpec::load(&path).expect("committed scenario file");
             assert_eq!(
-                spec,
-                matrix_spec(kind, true, 7),
-                "{}: committed file drifted from the canonical spec (regenerate \
-                 with --emit-files scenarios)",
-                kind.name()
-            );
-            let compiled = spec.compile().expect("committed scenario file compiles");
-            assert_eq!(
-                compiled.scenario,
-                scenario,
-                "{}: scenario file must compile to the hard-coded scenario",
-                kind.name()
-            );
-            let file_report = run_checked(
-                &compiled.scenario,
-                args.shards,
-                &format!("{} file", spec.name),
-            );
-            let file_record = record_for(&spec.name, &file_report, &baseline);
-            assert_eq!(
-                file_record.render(),
-                record.render(),
-                "{}: scenario-file record must byte-match the generator's",
-                kind.name()
-            );
-            println!(
-                "  {:<22} ↳ scenario file replays to a byte-identical record",
-                ""
+                &committed, spec,
+                "{name}: committed file drifted from the canonical spec (regenerate \
+                 with --emit-files scenarios)"
             );
         }
-        records.push(record);
+        records.push(record_for(name, &report, &baseline));
     }
     println!();
 

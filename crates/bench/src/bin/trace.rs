@@ -22,8 +22,8 @@
 //! run's trace and window timeline, with **no wall-clock fields** — CI
 //! re-runs the bin and `diff`s the artifact.
 
-use pcnna_bench::report::{assert_books, chaos_config, serving_classes, write_artifact};
-use pcnna_core::PcnnaConfig;
+use pcnna_bench::cli;
+use pcnna_bench::report::{assert_books, chaos_spec, control_config, diurnal_spec, write_artifact};
 use pcnna_fleet::prelude::*;
 use std::time::Instant;
 
@@ -45,97 +45,21 @@ fn parse_args() -> Args {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--smoke" => args.smoke = true,
-            "--scenario" => {
-                let name = it.next().unwrap_or_default();
-                match ChaosKind::from_name(&name) {
-                    Some(kind) => args.kind = kind,
-                    None => {
-                        eprintln!(
-                            "unknown scenario {name:?}; known: {}",
-                            ChaosKind::ALL
-                                .iter()
-                                .map(|k| k.name())
-                                .collect::<Vec<_>>()
-                                .join(", ")
-                        );
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--seed" => {
-                args.seed = it.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--seed needs an integer");
-                    std::process::exit(2);
-                });
-            }
+            "--scenario" => args.kind = cli::chaos_kind(it.next()),
+            "--seed" => args.seed = cli::seed(it.next()),
             "--stride" => {
-                args.stride = it.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--stride needs an integer ≥ 1");
-                    std::process::exit(2);
-                });
+                args.stride = it
+                    .next()
+                    .and_then(|s| s.parse().ok())
+                    .unwrap_or_else(|| cli::usage("--stride needs an integer ≥ 1"));
             }
-            other => {
-                eprintln!(
-                    "unknown flag {other:?} (known: --smoke, --scenario <name>, \
-                     --seed <n>, --stride <n>)"
-                );
-                std::process::exit(2);
-            }
+            other => cli::usage(&format!(
+                "unknown flag {other:?} (known: --smoke, --scenario <name>, \
+                 --seed <n>, --stride <n>)"
+            )),
         }
     }
     args
-}
-
-/// The scenarios-bin workload with the requested chaos timeline.
-fn chaos_scenario(args: &Args) -> FleetScenario {
-    let (fleet, rate_rps, horizon_s) = if args.smoke {
-        (4, 45_000.0, 0.05)
-    } else {
-        (6, 90_000.0, 0.5)
-    };
-    let instances = vec![PcnnaConfig::default(); fleet];
-    let faults = chaos_timeline(
-        args.kind,
-        &instances,
-        horizon_s,
-        &chaos_config(args.smoke, args.seed),
-    );
-    FleetScenario {
-        classes: serving_classes(),
-        arrival: ArrivalProcess::Poisson { rate_rps },
-        policy: Policy::NetworkAffinity,
-        instances,
-        max_batch: 32,
-        queue_capacity: 100_000,
-        horizon_s,
-        seed: args.seed,
-        faults,
-        ..FleetScenario::default()
-    }
-}
-
-/// The control-bin workload: same mix under a 10:1 diurnal swing.
-fn control_scenario(args: &Args) -> FleetScenario {
-    let (fleet, peak_rps, horizon_s, period_s) = if args.smoke {
-        (6, 60_000.0, 0.08, 0.08)
-    } else {
-        (8, 90_000.0, 0.4, 0.2)
-    };
-    FleetScenario {
-        classes: serving_classes(),
-        arrival: ArrivalProcess::Diurnal {
-            base_rps: 0.1 * peak_rps,
-            peak_rps,
-            period_s,
-        },
-        policy: Policy::NetworkAffinity,
-        instances: vec![PcnnaConfig::default(); fleet],
-        max_batch: 32,
-        queue_capacity: 100_000,
-        horizon_s,
-        seed: args.seed,
-        ..FleetScenario::default()
-    }
 }
 
 fn main() {
@@ -155,7 +79,10 @@ fn main() {
 
     // Sharded chaos trace: byte-identical across (shards, threads) and
     // invisible to the report.
-    let scenario = chaos_scenario(&args);
+    let scenario = chaos_spec(args.kind, args.smoke, args.seed)
+        .compile()
+        .expect("chaos spec compiles")
+        .scenario;
     let plain = scenario.simulate_sharded(1, 1).expect("scenario is valid");
     let mut rendered: Option<String> = None;
     for (shards, threads) in [(1, 1), (4, 2), (8, 8)] {
@@ -190,15 +117,11 @@ fn main() {
 
     // Controlled-run telemetry: trace + window timeline, re-run
     // byte-identical.
-    let cfg = ControlConfig {
-        window_s: 0.002,
-        boot_s: 0.004,
-        min_active: 1,
-        initial_active: usize::MAX,
-        max_step: 4,
-        idle_power_w: 2.0,
-    };
-    let ctl = control_scenario(&args);
+    let cfg = control_config();
+    let ctl = diurnal_spec(args.smoke, args.seed)
+        .compile()
+        .expect("diurnal spec compiles")
+        .scenario;
     let (controlled, telemetry) = ctl
         .simulate_controlled_traced(&cfg, &mut ReactivePolicy::new(), &tcfg)
         .expect("scenario is valid");

@@ -18,6 +18,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod report;
 
 use pcnna_baselines::{AcceleratorModel, Eyeriss, YodaNn};

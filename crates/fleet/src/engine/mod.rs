@@ -176,11 +176,17 @@ impl FleetScenario {
                 // request would "complete" instantly and poison the stats.
                 return fail(format!("class {} has no conv layers to serve", c.name));
             }
-            if !(c.weight > 0.0) {
-                return fail(format!("class {} weight must be positive", c.name));
+            if !(c.weight > 0.0) || !c.weight.is_finite() {
+                return fail(format!(
+                    "class {} weight must be finite and positive, got {}",
+                    c.name, c.weight
+                ));
             }
-            if !(c.slo_s > 0.0) {
-                return fail(format!("class {} SLO must be positive", c.name));
+            if !(c.slo_s > 0.0) || !c.slo_s.is_finite() {
+                return fail(format!(
+                    "class {} SLO must be finite and positive, got {}",
+                    c.name, c.slo_s
+                ));
             }
             if !(0.0..=1.0).contains(&c.min_accuracy) {
                 return fail(format!(
@@ -545,10 +551,24 @@ mod tests {
         let empty_class = NetworkClass::new("empty", &[], 0.01, 1.0);
         assert!(FleetScenario {
             classes: vec![empty_class],
-            ..ok
+            ..ok.clone()
         }
         .validate()
         .is_err());
+        // Non-finite weights and SLOs: an infinite weight used to pass
+        // and starve every other class of arrivals.
+        for bad in [f64::INFINITY, f64::NAN] {
+            for class in [
+                NetworkClass::alexnet(0.05, bad),
+                NetworkClass::alexnet(bad, 1.0),
+            ] {
+                let scenario = FleetScenario {
+                    classes: vec![class, NetworkClass::lenet5(0.01, 3.0)],
+                    ..ok.clone()
+                };
+                assert!(scenario.validate().is_err(), "{bad} accepted");
+            }
+        }
     }
 
     #[test]

@@ -103,57 +103,12 @@ impl NetworkClass {
     }
 }
 
-/// A weighted set of [`NetworkClass`]es. The weight total is computed
-/// once at construction ([`sample_class`](TrafficMix::sample_class) runs
-/// once per simulated request).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TrafficMix {
-    classes: Vec<NetworkClass>,
-    total_weight: f64,
-}
-
-impl TrafficMix {
-    /// Builds a mix.
-    #[must_use]
-    pub fn new(classes: Vec<NetworkClass>) -> Self {
-        let total_weight = classes.iter().map(|c| c.weight).sum();
-        TrafficMix {
-            classes,
-            total_weight,
-        }
-    }
-
-    /// The classes in the mix.
-    #[must_use]
-    pub fn classes(&self) -> &[NetworkClass] {
-        &self.classes
-    }
-
-    /// Draws a class index proportional to the weights.
-    ///
-    /// Documented defaults at the edges (no panics): an **empty** mix
-    /// returns 0 (there is no valid index — callers that admitted an
-    /// empty mix must not use the result), and a mix whose total
-    /// weight is zero or negative falls through to the **last** class.
-    /// Use [`ClassSampler::try_new`] to reject such mixes up front.
-    pub fn sample_class(&self, rng: &mut StdRng) -> usize {
-        let mut x = rng.gen_range(0.0..self.total_weight.max(f64::MIN_POSITIVE));
-        for (i, c) in self.classes.iter().enumerate() {
-            x -= c.weight;
-            if x <= 0.0 {
-                return i;
-            }
-        }
-        self.classes.len().saturating_sub(1)
-    }
-}
-
 /// Weighted class sampling over a *borrowed* class list.
 ///
-/// The engine builds one of these per run from `&scenario.classes` — the
-/// per-run [`TrafficMix`] it replaces had to deep-copy every class's
-/// layer stack each `simulate()` call. Construction is O(classes) once;
-/// sampling is an allocation-free binary search per request.
+/// The engine builds one of these per run from `&scenario.classes`,
+/// so no class's layer stack is copied per `simulate()` call.
+/// Construction is O(classes) once; sampling is an allocation-free
+/// binary search per request.
 #[derive(Debug, Clone)]
 pub struct ClassSampler {
     cumulative: Vec<f64>,
@@ -164,8 +119,9 @@ impl ClassSampler {
     /// Builds a sampler from the classes' weights.
     ///
     /// Accepts any input without panicking; degenerate weight sets get
-    /// the documented defaults described on [`sample`](Self::sample).
-    /// Use [`try_new`](Self::try_new) to reject them instead.
+    /// the documented defaults described on [`sample`](Self::sample)
+    /// ([`FleetScenario::validate`](crate::FleetScenario::validate)
+    /// rejects them before a run).
     #[must_use]
     pub fn new(classes: &[NetworkClass]) -> Self {
         let mut acc = 0.0;
@@ -182,39 +138,11 @@ impl ClassSampler {
         }
     }
 
-    /// [`new`](Self::new), but rejecting mixes a weighted draw cannot
-    /// be meaningfully defined over.
-    ///
-    /// # Errors
-    ///
-    /// Returns a reason string for an empty class list, a non-finite
-    /// or negative weight, or an all-zero weight total.
-    pub fn try_new(classes: &[NetworkClass]) -> core::result::Result<Self, String> {
-        if classes.is_empty() {
-            return Err("traffic mix has no classes to sample".to_owned());
-        }
-        for c in classes {
-            if !c.weight.is_finite() || c.weight < 0.0 {
-                return Err(format!(
-                    "class {} weight must be finite and non-negative, got {}",
-                    c.name, c.weight
-                ));
-            }
-        }
-        let sampler = ClassSampler::new(classes);
-        if !(sampler.total > 0.0) {
-            return Err("traffic mix weights sum to zero".to_owned());
-        }
-        Ok(sampler)
-    }
-
-    /// Draws a class index proportional to the weights (same convention
-    /// as [`TrafficMix::sample_class`]).
+    /// Draws a class index proportional to the weights.
     ///
     /// Documented defaults at the edges (no panics): an **empty**
-    /// sampler returns 0 (no valid index exists — don't sample an
-    /// empty mix you admitted past [`try_new`](Self::try_new)), and a
-    /// zero/negative total degenerates to a constant pick.
+    /// sampler returns 0 (no valid index exists — callers must not use
+    /// it), and a zero/negative total degenerates to a constant pick.
     pub fn sample(&self, rng: &mut StdRng) -> usize {
         let x = rng.gen_range(0.0..self.total.max(f64::MIN_POSITIVE));
         self.cumulative
@@ -370,8 +298,9 @@ impl ArrivalSampler {
     /// Documented default (no panics, no hangs): a process that fails
     /// [`ArrivalProcess::validate`] — zero/NaN rates, zero dwells, a
     /// zero diurnal period — yields a sampler whose every arrival is
-    /// at `f64::INFINITY`, i.e. **no arrivals ever**. Use
-    /// [`try_new`](Self::try_new) to surface the error instead.
+    /// at `f64::INFINITY`, i.e. **no arrivals ever**
+    /// ([`FleetScenario::validate`](crate::FleetScenario::validate)
+    /// rejects such a process before a run).
     #[must_use]
     pub fn new(process: ArrivalProcess, seed: u64) -> Self {
         let valid = process.validate().is_ok();
@@ -390,16 +319,6 @@ impl ArrivalSampler {
             next_switch_s,
             valid,
         }
-    }
-
-    /// [`new`](Self::new), but propagating the validation error.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`ArrivalProcess::validate`] reason string.
-    pub fn try_new(process: ArrivalProcess, seed: u64) -> core::result::Result<Self, String> {
-        process.validate()?;
-        Ok(ArrivalSampler::new(process, seed))
     }
 
     /// Instantaneous rate at time `t`, advancing modulation state to `t`.
@@ -563,13 +482,13 @@ mod tests {
 
     #[test]
     fn mix_sampling_follows_weights() {
-        let mix = TrafficMix::new(vec![
+        let mix = ClassSampler::new(&[
             NetworkClass::lenet5(0.01, 3.0),
             NetworkClass::alexnet(0.05, 1.0),
         ]);
         let mut rng = StdRng::seed_from_u64(2);
         let n = 40_000;
-        let lenet = (0..n).filter(|_| mix.sample_class(&mut rng) == 0).count();
+        let lenet = (0..n).filter(|_| mix.sample(&mut rng) == 0).count();
         let share = lenet as f64 / n as f64;
         assert!((share - 0.75).abs() < 0.02, "share {share}");
     }
@@ -606,21 +525,17 @@ mod tests {
             for _ in 0..3 {
                 assert_eq!(s.next_arrival_s(), f64::INFINITY, "{p:?}");
             }
-            assert!(ArrivalSampler::try_new(p, 1).is_err(), "{p:?}");
+            assert!(p.validate().is_err(), "{p:?}");
         }
-        assert!(ArrivalSampler::try_new(ArrivalProcess::Poisson { rate_rps: 10.0 }, 1).is_ok());
     }
 
     #[test]
     fn empty_and_zero_weight_mixes_use_documented_defaults() {
         let mut rng = StdRng::seed_from_u64(4);
-        // empty mix: sample_class used to underflow-panic on len() - 1
-        let empty = TrafficMix::new(vec![]);
-        assert_eq!(empty.sample_class(&mut rng), 0);
+        // empty mix: sampling used to underflow-panic on len() - 1
         let empty_sampler = ClassSampler::new(&[]);
         assert_eq!(empty_sampler.sample(&mut rng), 0);
-        assert!(ClassSampler::try_new(&[]).is_err());
-        // all-zero weights: constant pick, and try_new rejects
+        // all-zero weights: constant pick
         let zero = vec![
             NetworkClass::lenet5(0.01, 0.0),
             NetworkClass::alexnet(0.05, 0.0),
@@ -628,15 +543,6 @@ mod tests {
         let sampler = ClassSampler::new(&zero);
         let picks: Vec<usize> = (0..16).map(|_| sampler.sample(&mut rng)).collect();
         assert!(picks.iter().all(|&p| p < zero.len()));
-        assert!(ClassSampler::try_new(&zero).is_err());
-        let mix = TrafficMix::new(zero);
-        let pick = mix.sample_class(&mut rng);
-        assert!(pick < mix.classes().len());
-        // negative / NaN weights are rejected by try_new
-        assert!(ClassSampler::try_new(&[NetworkClass::lenet5(0.01, -1.0)]).is_err());
-        assert!(ClassSampler::try_new(&[NetworkClass::lenet5(0.01, f64::NAN)]).is_err());
-        // and a valid mix passes
-        assert!(ClassSampler::try_new(&[NetworkClass::lenet5(0.01, 1.0)]).is_ok());
     }
 
     #[test]
